@@ -1,21 +1,29 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test race bench benchcheck gobench chaos chaos-service crashtest loadtest
+.PHONY: check build fmt vet lint depscheck test race bench benchcheck gobench chaos chaos-service crashtest loadtest
 
-# The gate CI runs: vet + stdlib-only dependency check + determinism
-# lint + full test suite + race + the fixed-seed chaos sweep + the
-# service chaos harness + the crash-consistency enumeration + the
-# rmscaled load smoke.
-check: vet depscheck lint test race chaos chaos-service crashtest loadtest
+# The gate CI runs: gofmt + vet + stdlib-only dependency check +
+# determinism lint + full test suite + race + the fixed-seed chaos
+# sweep + the service chaos harness + the crash-consistency enumeration
+# + the rmscaled load smoke.
+check: fmt vet depscheck lint test race chaos chaos-service crashtest loadtest
 
 build:
 	$(GO) build ./...
+
+# Fail if any Go source outside the analyzer fixtures (testdata, whose
+# layout the lint tests pin) and the benchmark's build directory is not
+# gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "fmt: not gofmt-clean:"; echo "$$out"; exit 1; fi
+	@echo "fmt: gofmt-clean"
 
 vet:
 	$(GO) vet ./...
 
 # The custom determinism/model-coverage analyzers (see DESIGN.md,
-# "Determinism invariants"). One process runs all nine: the full-
+# "Determinism invariants"). One process runs all eight: the full-
 # source typecheck and the call graph are built once and shared, so
 # adding an analyzer costs its traversal, not another load. Exits
 # non-zero on any finding; the JSON report is the CI artifact.
@@ -37,14 +45,11 @@ test: build
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise
 # dominate the wall clock. The service layer (worker shards, condition
-# variables, store GC, supervision) and the parallel executor plus the
-# grid engine that drives it (worker-pool windows, partition plans)
-# additionally run their full suites under the detector — they are the
-# module's most concurrent code.
+# variables, store GC, supervision) additionally runs its full suite
+# under the detector — it is the module's most concurrent code.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/service/...
-	$(GO) test -race -count=1 ./internal/sim/par/... ./internal/grid/...
 
 # Refresh the committed benchmark baseline: run the regression harness
 # (internal/perfbench) and overwrite BENCH_sim.json with its report.

@@ -25,13 +25,6 @@
 //	-format table|chart|csv|json output format (default table)
 //	-out DIR                     also save each figure as CSV+JSON files
 //	-j N                         worker-pool size (default GOMAXPROCS)
-//	-par-workers N               in-run parallelism cap: each simulation
-//	                             may execute partitioned event windows
-//	                             on up to N workers where its partition
-//	                             plan proves that byte-identical to
-//	                             serial execution (default 0 = serial);
-//	                             composes with -j, which parallelises
-//	                             across simulations
 //	-resume DIR                  checkpoint directory: journal completed
 //	                             (model, k) points there, cache
 //	                             simulations on disk, and resume an
@@ -93,7 +86,6 @@ func run(args []string, out io.Writer) error {
 	format := fs.String("format", "table", "table, chart, csv or json")
 	outDir := fs.String("out", "", "also write each figure as CSV and JSON into this directory")
 	workers := fs.Int("j", 0, "worker-pool size; 0 picks GOMAXPROCS")
-	parWorkers := fs.Int("par-workers", 0, "in-run parallelism cap per simulation (partitioned event windows); 0 or 1 runs serially")
 	resumeDir := fs.String("resume", "", "checkpoint directory for journaling, disk caching and resuming")
 	verbose := fs.Bool("v", false, "log tuning progress")
 	faults := fs.Bool("faults", false, "degraded mode: re-run the case under the churn fault load")
@@ -103,15 +95,12 @@ func run(args []string, out io.Writer) error {
 	chaosN := fs.Int("chaos", 0, "sweep this many random fault schedules under the invariant auditor")
 	chaosReplay := fs.String("chaos-replay", "", "re-run one chaos reproducer JSON file")
 	benchBaseline := fs.String("check", "", "with bench: baseline report to gate against")
-	benchTol := fs.Float64("tolerance", 0.10, "with bench -check: allowed relative regression on max- and min-gated metrics")
+	benchTol := fs.Float64("tolerance", 0.10, "with bench -check: allowed relative regression on max-gated metrics")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-j must be >= 0, got %d", *workers)
-	}
-	if *parWorkers < 0 {
-		return fmt.Errorf("-par-workers must be >= 0, got %d", *parWorkers)
 	}
 	if (*mtbf != 0 || *loss != 0) && !*faults {
 		return fmt.Errorf("-mtbf and -loss need -faults: they extend the degraded-mode fault load")
@@ -145,11 +134,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	spec := rmscale.RunSpec{
-		Fidelity:   fid,
-		Seed:       *seed,
-		Workers:    *workers,
-		ParWorkers: *parWorkers,
-		Dir:        *resumeDir,
+		Fidelity: fid,
+		Seed:     *seed,
+		Workers:  *workers,
+		Dir:      *resumeDir,
 	}
 	if *verbose {
 		spec.Progress = func(model string, p rmscale.Point) {

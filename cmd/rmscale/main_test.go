@@ -147,9 +147,6 @@ func TestWorkerAndResumeFlagParsing(t *testing.T) {
 	if err := run([]string{"-j", "bogus", "-fidelity", "smoke", "case4"}, &buf); err == nil {
 		t.Error("non-numeric -j accepted")
 	}
-	if err := run([]string{"-par-workers", "-1", "-fidelity", "smoke", "case4"}, &buf); err == nil {
-		t.Error("negative -par-workers accepted")
-	}
 	// -j and -resume parse and thread through on the tables command
 	// path too (they are simply unused there).
 	if err := run([]string{"-j", "2", "-resume", t.TempDir(), "tables"}, &buf); err != nil {

@@ -189,16 +189,6 @@ func (r Report) Violating() bool { return len(r.Violations) > 0 }
 // audit outcome. Identical schedules produce identical reports — the
 // whole pipeline is deterministic in the schedule alone.
 func Run(s Schedule) (Report, error) {
-	return RunWorkers(s, 1)
-}
-
-// RunWorkers is Run with an in-run parallelism cap: the engine executes
-// through RunPar, which may only use parallel event windows where its
-// partition plan proves them byte-identical to serial execution. The
-// determinism contract therefore extends across worker counts —
-// RunWorkers(s, n) reports exactly Run(s) for every n — and the
-// parallel equivalence suite pins chaos fingerprints on it.
-func RunWorkers(s Schedule, workers int) (Report, error) {
 	if err := s.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -255,7 +245,7 @@ func RunWorkers(s Schedule, workers int) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	sum := e.RunPar(workers)
+	sum := e.Run()
 	r := Report{
 		Summary:     sum,
 		Violations:  a.ViolationStrings(),

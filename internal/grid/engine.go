@@ -46,11 +46,6 @@ type Engine struct {
 	// so grid never imports the auditor.
 	AuditHook func()
 
-	// LastPlan is the partition plan RunPar computed for this engine,
-	// for inspection by tests and reports. Nil until RunPar runs with
-	// more than one worker.
-	LastPlan *Plan
-
 	policy Policy
 	jobs   []*workload.Job
 	src    *sim.Source
@@ -379,11 +374,6 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	at := e.K.Now()
 	if len(e.Estimators) > 0 {
 		est := e.Estimators[r.id%len(e.Estimators)]
-		if e.Clusters() > 1 {
-			// The estimator layer is partition-external: every update
-			// into it crosses the cluster-partition boundary.
-			e.Metrics.CrossClusterMsgs++
-		}
 		if e.fs == nil || !est.down {
 			//lint:allow hotalloc the in-flight delivery closure is the update's budgeted allocation (engine allocs_per_event gate)
 			e.K.After(e.delay(r.node, est.node, e.Cfg.UpdateBytes), func() {
@@ -432,9 +422,6 @@ func (e *Engine) broadcastDigest(est *Estimator, d digest) {
 			continue
 		}
 		e.Metrics.DigestsSent++
-		if e.Clusters() > 1 {
-			e.Metrics.CrossClusterMsgs++
-		}
 		s := s
 		// The digest is pre-partitioned by cluster (see Estimator.flush),
 		// so a delivery slices its receiver's share out of the shared
@@ -468,9 +455,6 @@ func (e *Engine) deliverPolicy(from *Scheduler, to int, kind int, payload any) {
 		panic(fmt.Sprintf("grid: policy message to invalid cluster %d", to))
 	}
 	e.Metrics.PolicyMsgs++
-	if from.cluster != to {
-		e.Metrics.CrossClusterMsgs++
-	}
 	dst := e.Schedulers[to]
 	//lint:allow hotalloc the Message IS the protocol message; one per send is the model's own unit of work
 	m := &Message{Kind: kind, From: from.cluster, To: to, Payload: payload}
@@ -510,9 +494,6 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 		return
 	}
 	e.Metrics.JobTransfers++
-	if from.cluster != to {
-		e.Metrics.CrossClusterMsgs++
-	}
 	ctx.Hops++
 	if e.Tracer.On() {
 		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)

@@ -43,13 +43,6 @@ type Metrics struct {
 	DigestsSent       int
 	PolicyMsgs        int
 	JobTransfers      int // REMOTE jobs moved between clusters
-	// CrossClusterMsgs counts messages whose endpoints live in
-	// different cluster partitions under the RunPar plan (messages
-	// through the shared estimator layer count: estimators are global
-	// entities, outside every partition). It is the runtime side of the
-	// partition coupling census — diagnostic only, deliberately not
-	// part of Summary, so tagging cannot disturb the goldens.
-	CrossClusterMsgs int
 
 	// Fault accounting; every field stays zero in a fault-free run.
 	SchedulerCrashes  int

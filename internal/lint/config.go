@@ -22,14 +22,6 @@ type Config struct {
 	// single-threaded simulations.
 	Kernel []string
 
-	// Coordinator lists the parallel-execution coordinator packages
-	// (coorddiscipline): concurrency is legal only inside functions
-	// marked //lint:coordinator, which documents the barrier argument
-	// keeping worker scheduling invisible to simulation results. These
-	// packages sit between the kernel (concurrency banned outright) and
-	// the service layer (concurrent by design, locksafe-governed).
-	Coordinator []string
-
 	// MapOrder lists the packages checked for order-dependent map
 	// iteration (mapiterorder). "rmscale/..." style entries apply the
 	// analyzer to a whole subtree.
@@ -91,10 +83,6 @@ var DefaultConfig = Config{
 		// simulated disks; its results must be seed-reproducible, so it
 		// runs on a frozen clock and never touches global RNG.
 		"rmscale/internal/service/crash",
-		// The conservative parallel executor runs inside simulations; its
-		// results must be byte-identical to serial runs, so wall time and
-		// global RNG are banned the same as in the kernel.
-		"rmscale/internal/sim/par",
 	},
 	Kernel: []string{
 		"rmscale/internal/sim",
@@ -124,15 +112,6 @@ var DefaultConfig = Config{
 		// destroy the prefix-exact replay the harness depends on.
 		"rmscale/internal/service/crash",
 	},
-	// The conservative window executor is the one sanctioned bridge
-	// between simulation results and real goroutines: deliberately NOT a
-	// Kernel package (its whole point is the worker pool), but its
-	// concurrency is confined to the //lint:coordinator-marked window
-	// barrier, where the determinism argument is spelled out.
-	Coordinator: []string{
-		"rmscale/internal/sim/par",
-	},
-
 	// Map-iteration order can leak into any rendered table, figure,
 	// JSON file or checkpoint, so the whole module is covered — the
 	// "rmscale/..." subtree entry includes internal/service/chaos and
@@ -164,6 +143,7 @@ var DefaultConfig = Config{
 		"rmscale/internal/fsutil/...": "filesystem plumbing beneath the store and journal (and the simulated crash filesystem that models it); blocking IO is its purpose and no simulation state flows through it",
 		"rmscale/internal/perfbench":  "benchmark harness; reads the wall clock by design to measure it",
 		"rmscale/internal/lint/...":   "the analyzers themselves; never linked into a simulation binary",
+		"rmscale/internal/sim/par":    "test-only package (the cross-worker equivalence suite); rmslint loads no test files, so there is nothing to analyze",
 	},
 
 	EnumPkg:  "rmscale/internal/rms",
@@ -175,13 +155,13 @@ var DefaultConfig = Config{
 }
 
 // Classified reports how the config covers pkgPath: curated means a
-// SimVisible/Kernel/Coordinator/LockSafe entry names it (the lists
-// that encode a conscious decision per package — the wildcard-based
-// MapOrder, Exhaustive and HotAlloc lists do not count), exempt means
-// an Exempt entry opts it out. The config meta-test requires every
-// internal package to be one or the other.
+// SimVisible/Kernel/LockSafe entry names it (the lists that encode a
+// conscious decision per package — the wildcard-based MapOrder,
+// Exhaustive and HotAlloc lists do not count), exempt means an Exempt
+// entry opts it out. The config meta-test requires every internal
+// package to be one or the other.
 func (cfg Config) Classified(pkgPath string) (curated, exempt bool) {
-	for _, list := range [][]string{cfg.SimVisible, cfg.Kernel, cfg.Coordinator, cfg.LockSafe} {
+	for _, list := range [][]string{cfg.SimVisible, cfg.Kernel, cfg.LockSafe} {
 		if appliesTo(list, pkgPath) {
 			curated = true
 		}

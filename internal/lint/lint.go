@@ -7,13 +7,12 @@
 // package those invariants lived in comments and were caught — after
 // the fact — by golden files. Now they fail the build.
 //
-// The suite has two tiers. Six analyzers are call-site local
+// The suite has two tiers. Five analyzers are call-site local
 // (nowallclock, noglobalrand, mapiterorder, nokernelgoroutines,
-// coorddiscipline, rmsexhaustive): cheap, precise, package-scoped.
-// Three are interprocedural (detertaint, hotalloc, locksafe): they run
-// over a module-wide call graph (internal/lint/callgraph) the driver
-// builds once per run and shares across every (analyzer, package)
-// pass.
+// rmsexhaustive): cheap, precise, package-scoped. Three are
+// interprocedural (detertaint, hotalloc, locksafe): they run over a
+// module-wide call graph (internal/lint/callgraph) the driver builds
+// once per run and shares across every (analyzer, package) pass.
 package lint
 
 import (
@@ -27,7 +26,7 @@ import (
 	"rmscale/internal/lint/load"
 )
 
-// Suite returns the nine analyzers in their fixed reporting order:
+// Suite returns the eight analyzers in their fixed reporting order:
 // the local fast passes first, then the call-graph tier.
 func Suite(cfg Config) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -35,7 +34,6 @@ func Suite(cfg Config) []*analysis.Analyzer {
 		NoGlobalRand(),
 		MapIterOrder(),
 		NoKernelGoroutines(),
-		CoordDiscipline(),
 		RMSExhaustive(EnumSpec{
 			PkgPath:   cfg.EnumPkg,
 			TypeName:  cfg.EnumType,
@@ -56,8 +54,6 @@ func (cfg Config) packagesFor(name string) []string {
 		return cfg.MapOrder
 	case "nokernelgoroutines":
 		return cfg.Kernel
-	case "coorddiscipline":
-		return cfg.Coordinator
 	case "rmsexhaustive":
 		return cfg.Exhaustive
 	case "detertaint":

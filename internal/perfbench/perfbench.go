@@ -14,10 +14,10 @@
 //     changed model behaviour, the same signal the golden files carry;
 //   - "max" metrics (allocations per event/run) are deterministic for a
 //     given Go version and may not regress beyond a small tolerance;
-//   - "min" metrics (the sim/par parallel speedup, see par.go) may not
-//     fall below the baseline beyond the same tolerance;
 //   - ungated metrics (wall-clock times, derived rates) vary with the
-//     machine and are recorded for trend reading only.
+//     machine and are recorded for trend reading only;
+//   - any other gate kind in the baseline is itself a violation, so a
+//     typo or a retired kind can never leave a metric silently ungated.
 //
 // The harness runs from `rmscale bench` (see cmd/rmscale) and from the
 // `make bench` / `make benchcheck` targets.
@@ -42,10 +42,6 @@ const (
 	GateNone = "none"
 	// GateMax marks metrics that must not exceed baseline*(1+tolerance).
 	GateMax = "max"
-	// GateMin marks metrics that must not fall below
-	// baseline*(1-tolerance) — parallel speedups, where smaller is the
-	// regression.
-	GateMin = "min"
 	// GateExact marks metrics that must match the baseline exactly.
 	GateExact = "exact"
 )
@@ -90,11 +86,6 @@ func Run() (Report, error) {
 		return Report{}, err
 	}
 	rep.Metrics = append(rep.Metrics, ms...)
-	pms, err := parMetrics()
-	if err != nil {
-		return Report{}, err
-	}
-	rep.Metrics = append(rep.Metrics, pms...)
 	sort.Slice(rep.Metrics, func(i, j int) bool {
 		return rep.Metrics[i].Name < rep.Metrics[j].Name
 	})
@@ -280,11 +271,8 @@ func Compare(base, cur Report, tolerance float64) []string {
 				bad = append(bad, fmt.Sprintf("%s: %.6g exceeds baseline %.6g by more than %.0f%%",
 					b.Name, c.Value, b.Value, tolerance*100))
 			}
-		case GateMin:
-			if limit := b.Value * (1 - tolerance); c.Value < limit {
-				bad = append(bad, fmt.Sprintf("%s: %.6g falls below baseline %.6g by more than %.0f%%",
-					b.Name, c.Value, b.Value, tolerance*100))
-			}
+		default:
+			bad = append(bad, fmt.Sprintf("%s: unknown gate kind %q", b.Name, b.Gate))
 		}
 	}
 	return bad

@@ -151,21 +151,14 @@ func TestEstimatorCrashFallback(t *testing.T) {
 
 // TestChurnDeterminism: the fault machinery must be exactly as
 // reproducible as the rest of the engine — same seed, same fault load,
-// identical summary.
+// identical summary and audit outcome, for every model.
 func TestChurnDeterminism(t *testing.T) {
-	for _, name := range []string{"CENTRAL", "LOWEST", "AUCTION", "Sy-I"} {
-		name := name
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			cfg := churnConfig()
-			p1, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p2, _ := ByName(name)
-			a := runModel(t, p1, cfg)
-			b := runModel(t, p2, cfg)
+			a := runAudited(t, name, churnConfig())
+			b := runAudited(t, name, churnConfig())
 			if a != b {
-				t.Fatalf("same seed diverged under churn:\n a=%v\n b=%v", a, b)
+				t.Fatalf("same seed diverged under churn:\n a=%+v\n b=%+v", a, b)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package rms
 import (
 	"testing"
 
+	"rmscale/internal/audit"
 	"rmscale/internal/grid"
 )
 
@@ -30,6 +31,40 @@ func runModel(t *testing.T, p grid.Policy, cfg grid.Config) grid.Summary {
 		t.Fatalf("%s: event budget overflow", p.Name())
 	}
 	return sum
+}
+
+// auditedRun is one run of a freshly built model under the Record-mode
+// auditor, the way experiments and the chaos harness run it.
+type auditedRun struct {
+	Sum         grid.Summary
+	Checks      int
+	Fingerprint string
+}
+
+// runAudited builds a fresh policy for the named model, runs it under
+// the auditor and fails the test on any invariant violation.
+func runAudited(t *testing.T, name string, cfg grid.Config) auditedRun {
+	t.Helper()
+	p, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := grid.New(cfg, p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	a, err := audit.Attach(e, audit.Config{Mode: audit.Record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := e.Run()
+	if e.K.Overflowed {
+		t.Fatalf("%s: event budget overflow", name)
+	}
+	if err := a.Err(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return auditedRun{Sum: sum, Checks: a.Checks(), Fingerprint: a.Fingerprint()}
 }
 
 // TestAllModelsSmoke runs every model end-to-end and checks the
@@ -109,21 +144,15 @@ func TestDistributedModelsTransferLoad(t *testing.T) {
 	}
 }
 
-// TestDeterminism: same seed, same policy type, identical summaries.
+// TestDeterminism: same seed, same model, identical summaries and
+// audit outcomes, for every model.
 func TestDeterminism(t *testing.T) {
-	for _, name := range []string{"CENTRAL", "LOWEST", "AUCTION", "Sy-I"} {
-		name := name
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			cfg := smallConfig()
-			p1, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p2, _ := ByName(name)
-			a := runModel(t, p1, cfg)
-			b := runModel(t, p2, cfg)
+			a := runAudited(t, name, smallConfig())
+			b := runAudited(t, name, smallConfig())
 			if a != b {
-				t.Fatalf("same seed diverged:\n a=%v\n b=%v", a, b)
+				t.Fatalf("same seed diverged:\n a=%+v\n b=%+v", a, b)
 			}
 		})
 	}

@@ -1,15 +1,18 @@
-// The differential equivalence suite: the tentpole's acceptance
-// contract is that in-run parallelism changes nothing observable, and
-// this file pins that from four angles — the par-native bench model
-// across worker counts, every RMS model's engine summary and audit
-// fingerprint across fault modes, the chaos corpus' replay reports,
-// and a full experiment case's golden CSV figures.
+// The cross-worker equivalence suite. Parallelism in rmscale lives in
+// the runner's work-stealing pool (`-j`), which runs whole independent
+// simulations side by side; its contract is that how many of them run
+// at once changes nothing observable. This file pins that from three
+// angles — every RMS model's engine summary and audit fingerprint
+// across fault modes, the chaos corpus' replay reports, and a full
+// experiment case's golden CSV figures — each against a run made alone.
 
 package par_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"rmscale"
@@ -17,37 +20,37 @@ import (
 	"rmscale/internal/audit/chaos"
 	"rmscale/internal/grid"
 	"rmscale/internal/rms"
-	"rmscale/internal/sim/par"
+	"rmscale/internal/runner"
 	"rmscale/internal/topology"
 )
 
 var workerCounts = []int{2, 4, 8}
 
-// TestBenchEquivalenceAcrossWorkers pins the conservative executor
-// itself: the partitioned bench model's result — event count, message
-// count, window count and the order-sensitive digest of every shard's
-// event stream — is byte-identical at every worker count.
-func TestBenchEquivalenceAcrossWorkers(t *testing.T) {
-	specs := []par.BenchSpec{
-		{Clusters: 2, Resources: 3, Update: 1, Volunteer: 5, Latency: 2, Work: 4, Horizon: 60, Seed: 7},
-		{Clusters: 5, Resources: 8, Update: 2, Volunteer: 3, Latency: 1, Work: 8, Horizon: 90, Seed: 3},
+// onPool runs fn once per worker on a pool of that many workers, so
+// every copy runs alongside the others, and returns the results in
+// submission order.
+func onPool[T any](t *testing.T, workers int, fn func() (T, error)) []T {
+	t.Helper()
+	out := make([]T, workers)
+	var mu sync.Mutex
+	p := runner.NewPool(context.Background(), workers, nil)
+	for i := range out {
+		i := i
+		p.Submit(runner.Task{
+			ID: fmt.Sprintf("copy%d", i),
+			Run: func(*runner.TaskCtx) error {
+				r, err := fn()
+				mu.Lock()
+				out[i] = r
+				mu.Unlock()
+				return err
+			},
+		})
 	}
-	if !testing.Short() {
-		spec := par.LargeTopology()
-		spec.Horizon = 40 // full shape, reduced horizon: this is a correctness pin, not the timing bench
-		specs = append(specs, spec)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	for si, spec := range specs {
-		serial := par.RunBench(spec, 1)
-		if serial.Events == 0 || serial.Cross == 0 {
-			t.Fatalf("spec %d: degenerate serial run %+v", si, serial)
-		}
-		for _, w := range workerCounts {
-			if got := par.RunBench(spec, w); got != serial {
-				t.Errorf("spec %d: %d workers diverged:\n got %+v\nwant %+v", si, w, got, serial)
-			}
-		}
-	}
+	return out
 }
 
 // modelConfig is a small four-cluster grid with every model-visible
@@ -71,37 +74,43 @@ func modelConfig(faulted bool) grid.Config {
 	return cfg
 }
 
+// modelRun is what one audited engine run exposes to its caller.
+type modelRun struct {
+	Sum         grid.Summary
+	Fingerprint string
+}
+
 // runModel builds a fresh audited engine for the model and returns its
-// summary and audit fingerprint after RunPar(workers).
-func runModel(t *testing.T, name string, faulted bool, workers int) (grid.Summary, string) {
-	t.Helper()
+// summary and audit fingerprint after Run.
+func runModel(name string, faulted bool) (modelRun, error) {
 	p, err := rms.ByName(name)
 	if err != nil {
-		t.Fatal(err)
+		return modelRun{}, err
 	}
 	e, err := grid.New(modelConfig(faulted), p)
 	if err != nil {
-		t.Fatal(err)
+		return modelRun{}, err
 	}
 	if faulted {
 		if err := e.ArmFaults(); err != nil {
-			t.Fatal(err)
+			return modelRun{}, err
 		}
 	}
 	a, err := audit.Attach(e, audit.Config{Mode: audit.Record})
 	if err != nil {
-		t.Fatal(err)
+		return modelRun{}, err
 	}
-	sum := e.RunPar(workers)
+	sum := e.Run()
 	if err := a.Err(); err != nil {
-		t.Fatalf("%s (faulted=%v, workers=%d): audit: %v", name, faulted, workers, err)
+		return modelRun{}, fmt.Errorf("%s (faulted=%v): audit: %w", name, faulted, err)
 	}
-	return sum, a.Fingerprint()
+	return modelRun{Sum: sum, Fingerprint: a.Fingerprint()}, nil
 }
 
 // TestEngineEquivalenceAllModels runs every RMS model fault-free and
-// under the churn fault load, serially and at 2/4/8 workers, and
-// requires byte-identical summaries and audit fingerprints.
+// under the churn fault load, alone and as 2/4/8 concurrent copies on
+// a runner pool, and requires byte-identical summaries and audit
+// fingerprints: engines share no mutable state.
 func TestEngineEquivalenceAllModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full model × fault × workers matrix is slow")
@@ -113,14 +122,18 @@ func TestEngineEquivalenceAllModels(t *testing.T) {
 				mode = "churn"
 			}
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
-				wantSum, wantFP := runModel(t, name, faulted, 1)
+				want, err := runModel(name, faulted)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, w := range workerCounts {
-					gotSum, gotFP := runModel(t, name, faulted, w)
-					if gotSum != wantSum {
-						t.Fatalf("workers=%d summary diverged:\n got %+v\nwant %+v", w, gotSum, wantSum)
-					}
-					if gotFP != wantFP {
-						t.Fatalf("workers=%d audit fingerprint %s, want %s", w, gotFP, wantFP)
+					for i, got := range onPool(t, w, func() (modelRun, error) { return runModel(name, faulted) }) {
+						if got.Sum != want.Sum {
+							t.Fatalf("workers=%d copy %d summary diverged:\n got %+v\nwant %+v", w, i, got.Sum, want.Sum)
+						}
+						if got.Fingerprint != want.Fingerprint {
+							t.Fatalf("workers=%d copy %d audit fingerprint %s, want %s", w, i, got.Fingerprint, want.Fingerprint)
+						}
 					}
 				}
 			})
@@ -129,9 +142,10 @@ func TestEngineEquivalenceAllModels(t *testing.T) {
 }
 
 // TestChaosCorpusEquivalence replays one generated chaos schedule per
-// RMS model (the generator covers models round-robin) at every worker
-// count and requires the full report — summary, violation list, check
-// count and fingerprint — to be identical to the serial replay.
+// RMS model (the generator covers models round-robin) alone and as
+// concurrent copies at every worker count, and requires the full
+// report — summary, violation list, check count and fingerprint — to
+// be identical to the solo replay.
 func TestChaosCorpusEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos corpus replay matrix is slow")
@@ -144,16 +158,14 @@ func TestChaosCorpusEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
-				got, err := chaos.RunWorkers(s, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Summary != want.Summary {
-					t.Fatalf("workers=%d chaos summary diverged:\n got %+v\nwant %+v", w, got.Summary, want.Summary)
-				}
-				if got.Fingerprint != want.Fingerprint || got.Checks != want.Checks ||
-					fmt.Sprint(got.Violations) != fmt.Sprint(want.Violations) {
-					t.Fatalf("workers=%d chaos report diverged:\n got %+v\nwant %+v", w, got, want)
+				for c, got := range onPool(t, w, func() (chaos.Report, error) { return chaos.Run(s) }) {
+					if got.Summary != want.Summary {
+						t.Fatalf("workers=%d copy %d chaos summary diverged:\n got %+v\nwant %+v", w, c, got.Summary, want.Summary)
+					}
+					if got.Fingerprint != want.Fingerprint || got.Checks != want.Checks ||
+						fmt.Sprint(got.Violations) != fmt.Sprint(want.Violations) {
+						t.Fatalf("workers=%d copy %d chaos report diverged:\n got %+v\nwant %+v", w, c, got, want)
+					}
 				}
 			}
 		})
@@ -161,20 +173,20 @@ func TestChaosCorpusEquivalence(t *testing.T) {
 }
 
 // TestGoldenCSVEquivalence renders a full smoke experiment case to its
-// CSV figure twice — serial and with -par-workers 4 — and requires the
-// bytes to be identical. This is the end-to-end leg: workload
+// CSV figure twice — on one runner worker and on four — and requires
+// the bytes to be identical. This is the end-to-end leg: workload
 // generation, tuning, journaling and figure rendering all sit between
-// RunPar and the output.
+// the pool and the output.
 func TestGoldenCSVEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full case run is slow")
 	}
-	render := func(parWorkers int) []byte {
+	render := func(workers int) []byte {
 		t.Helper()
 		r, err := rmscale.RunCaseSpec(1, rmscale.RunSpec{
-			Fidelity:   rmscale.Smoke,
-			Seed:       1,
-			ParWorkers: parWorkers,
+			Fidelity: rmscale.Smoke,
+			Seed:     1,
+			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -185,9 +197,9 @@ func TestGoldenCSVEquivalence(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := render(0)
+	serial := render(1)
 	parallel := render(4)
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("golden CSV diverged between serial and -par-workers 4:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+		t.Fatalf("golden CSV diverged between 1 and 4 workers:\n1 worker:\n%s\n4 workers:\n%s", serial, parallel)
 	}
 }

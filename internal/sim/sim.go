@@ -196,33 +196,6 @@ func (k *Kernel) noteProgress(at Time) {
 //
 //lint:hotpath the bounded dispatch loop; kernel/steady and every engine bench run inside it
 func (k *Kernel) Run(until Time) uint64 {
-	n := k.runLimit(until, false)
-	if k.Stalled {
-		return n
-	}
-	if k.now < until && (len(k.fel.ev) == 0 || k.fel.ev[0].at > until) {
-		// Advance the clock to the horizon so rate-style metrics
-		// (work per unit time) are computed over the full window.
-		k.now = until
-	}
-	return n
-}
-
-// RunBefore executes events strictly before horizon: it is the window
-// primitive of the conservative parallel executor (internal/sim/par),
-// which derives horizon from the partition lookahead. Unlike Run it
-// never advances the clock to the horizon itself — the clock stays at
-// the last executed event, so barrier-time message deliveries with
-// at >= horizon are always in this kernel's future.
-func (k *Kernel) RunBefore(horizon Time) uint64 {
-	return k.runLimit(horizon, true)
-}
-
-// runLimit is the shared dispatch loop of Run and RunBefore; strict
-// excludes events at exactly the limit.
-//
-//lint:hotpath the bounded dispatch loop body shared by Run and RunBefore; kernel/steady runs inside it
-func (k *Kernel) runLimit(limit Time, strict bool) uint64 {
 	k.stopped = false
 	var n uint64
 	for len(k.fel.ev) > 0 && !k.stopped {
@@ -237,7 +210,7 @@ func (k *Kernel) runLimit(limit Time, strict bool) uint64 {
 			k.recycle(next)
 			continue
 		}
-		if next.at > limit || (strict && next.at == limit) {
+		if next.at > until {
 			break
 		}
 		k.fel.pop()
@@ -255,39 +228,15 @@ func (k *Kernel) runLimit(limit Time, strict bool) uint64 {
 		next.fn()
 		k.recycle(next)
 	}
+	if k.Stalled {
+		return n
+	}
+	if k.now < until && (len(k.fel.ev) == 0 || k.fel.ev[0].at > until) {
+		// Advance the clock to the horizon so rate-style metrics
+		// (work per unit time) are computed over the full window.
+		k.now = until
+	}
 	return n
-}
-
-// NextTime reports the firing time of the earliest live pending event.
-// Cancelled events surfacing at the heap root are collected on the way,
-// exactly as the dispatch loop would collect them, so peeking is
-// behaviour-invisible.
-func (k *Kernel) NextTime() (Time, bool) {
-	for len(k.fel.ev) > 0 {
-		e := k.fel.ev[0]
-		if !e.canceled {
-			return e.at, true
-		}
-		k.fel.pop()
-		k.fel.dead--
-		k.recycle(e)
-	}
-	return 0, false
-}
-
-// AdvanceTo moves the clock forward to t without executing anything.
-// The parallel executor uses it at the end of a run so every partition
-// observes the same horizon Run would have left on a serial kernel.
-// Moving backwards or jumping over a pending live event panics: both
-// are coordination bugs.
-func (k *Kernel) AdvanceTo(t Time) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, k.now))
-	}
-	if nt, ok := k.NextTime(); ok && nt < t {
-		panic(fmt.Sprintf("sim: AdvanceTo %v past pending event at %v", t, nt))
-	}
-	k.now = t
 }
 
 // RunAll executes every pending event regardless of time. Intended for

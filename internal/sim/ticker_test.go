@@ -52,10 +52,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 // ticker while its rearm event is pending in the FEL. The cancelled
 // rearm's struct is recycled by the free list and handed to an
 // unrelated event; a second (stale) Stop must not cancel that
-// successor. This is exactly the interleaving the parallel executor's
-// barrier makes routine — cross-shard deliveries land between a tick
-// and its sibling events — so the contract is pinned here at kernel
-// level.
+// successor.
 func TestTickerStopRacingPendingRearm(t *testing.T) {
 	k := NewKernel()
 	var ticks []Time
