@@ -52,6 +52,10 @@
 //	                             and exit non-zero
 //	-chaos-replay FILE           no command: re-run one chaos reproducer
 //	                             JSON file and report its audit outcome
+//	-cpuprofile FILE             write a CPU profile of the whole command
+//	                             to FILE (go tool pprof format)
+//	-memprofile FILE             write a heap profile to FILE when the
+//	                             command finishes
 //
 // Results are deterministic in -seed: serial, parallel and
 // cache-warm/resumed executions of the same case produce identical
@@ -79,7 +83,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("rmscale", flag.ContinueOnError)
 	fidelity := fs.String("fidelity", "quick", "smoke, quick or full")
 	seed := fs.Int64("seed", 1, "master random seed")
@@ -96,6 +100,8 @@ func run(args []string, out io.Writer) error {
 	chaosReplay := fs.String("chaos-replay", "", "re-run one chaos reproducer JSON file")
 	benchBaseline := fs.String("check", "", "with bench: baseline report to gate against")
 	benchTol := fs.Float64("tolerance", 0.10, "with bench -check: allowed relative regression on max-gated metrics")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the command finishes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -105,6 +111,15 @@ func run(args []string, out io.Writer) error {
 	if (*mtbf != 0 || *loss != 0) && !*faults {
 		return fmt.Errorf("-mtbf and -loss need -faults: they extend the degraded-mode fault load")
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *chaosN > 0 || *chaosReplay != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("-chaos and -chaos-replay take no command")

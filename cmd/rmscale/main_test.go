@@ -248,3 +248,24 @@ func TestSmokeResume(t *testing.T) {
 		t.Error("resume with a different seed accepted")
 	}
 }
+
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var buf bytes.Buffer
+	if err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "tables"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", filepath.Base(p), err)
+		}
+	}
+	missing := filepath.Join(dir, "no", "such", "dir", "p.pprof")
+	if err := run([]string{"-cpuprofile", missing, "tables"}, &buf); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
+	}
+	if err := run([]string{"-memprofile", missing, "tables"}, &buf); err == nil {
+		t.Error("unwritable -memprofile path accepted")
+	}
+}

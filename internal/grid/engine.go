@@ -137,6 +137,7 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 			views:   make([]resourceView, len(mp.ClusterResources[c])),
 			rand:    e.src.Stream(fmt.Sprintf("sched:%d", c)),
 		}
+		s.retire = s.retireNext
 		s.peers = buildPeers(c, cfg.Spec.Clusters, cfg.Enablers.NeighborhoodSize, s.rand)
 		s.permScratch = make([]int, len(s.peers))
 		s.peerScratch = make([]int, len(s.peers))
@@ -151,12 +152,14 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		})
 	}
 	for i := 0; i < cfg.Spec.Estimators; i++ {
-		e.Estimators = append(e.Estimators, &Estimator{
+		est := &Estimator{
 			id:     i,
 			node:   mp.EstimatorNode[i],
 			eng:    e,
 			buffer: make([][]statusItem, cfg.Spec.Clusters),
-		})
+		}
+		est.retire = est.retireNext
+		e.Estimators = append(e.Estimators, est)
 	}
 	if p.UsesMiddleware() {
 		e.mw = &middleware{eng: e}
@@ -257,7 +260,7 @@ func (e *Engine) Unfinished() int { return e.unfinished }
 func (e *Engine) Run() Summary {
 	e.Metrics.JobsArrived = len(e.jobs)
 
-	// Status update tickers.
+	// Status update clocks.
 	phase := e.src.Stream("phase")
 	for _, r := range e.Resources {
 		r.startUpdates(e.Cfg.Enablers.UpdateInterval, phase)
@@ -319,6 +322,9 @@ func (e *Engine) Run() Summary {
 
 	window := e.Cfg.Horizon + e.Cfg.Drain
 	e.K.Run(window)
+	for _, r := range e.Resources {
+		r.finishUpdates()
+	}
 	e.unfinished += e.Metrics.JobsArrived - e.Metrics.JobsCompleted - e.Metrics.JobsLost
 	if e.AuditHook != nil {
 		e.AuditHook()
@@ -361,7 +367,7 @@ func (e *Engine) delay(from, to int, size float64) sim.Time {
 // sendStatusUpdate routes one resource status update to its estimator
 // (when the estimator layer exists) or directly to its scheduler.
 //
-//lint:hotpath status updates dominate engine event volume; engine/*/allocs_per_event budgets this fabric at ~2 allocations
+//lint:hotpath every sent status update crosses this fabric; engine/*/allocs_per_event budgets its delivery closure and queued work item
 func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	if e.Cfg.Faults.UpdateLossProb > 0 && e.faults.Bool(e.Cfg.Faults.UpdateLossProb) {
 		e.Metrics.UpdatesLost++

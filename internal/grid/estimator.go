@@ -29,6 +29,11 @@ type Estimator struct {
 	// snapshot it broadcasts.
 	buffer [][]statusItem
 
+	// work is the CPU's FIFO of accepted work; retire is the bound
+	// retireNext every accepted item schedules, built once.
+	work   workQueue
+	retire func()
+
 	// Fault state (see faults.go): a crash empties the buffer and the
 	// epoch bump destroys queued CPU work.
 	down  bool
@@ -43,7 +48,7 @@ func (e *Estimator) Node() int { return e.node }
 
 // exec serializes work through the estimator CPU, charging G. A dead
 // estimator retires no work, and work queued before a crash dies with
-// it (the epoch guard).
+// it (the epoch check in retireNext).
 func (e *Estimator) exec(cost float64, fn func()) {
 	if e.down {
 		return
@@ -57,15 +62,12 @@ func (e *Estimator) exec(cost float64, fn func()) {
 	}
 	finish := start + busy
 	e.busyUntil = finish
-	epoch := e.epoch
-	//lint:allow hotalloc the queued work item with its epoch guard is the estimator CPU's budgeted allocation (engine allocs_per_event gate)
-	e.eng.K.Schedule(finish, func() {
-		if e.epoch != epoch {
-			return
-		}
-		fn()
-	})
+	e.work.push(workItem{fn: fn, epoch: e.epoch})
+	e.eng.K.Schedule(finish, e.retire)
 }
+
+// retireNext retires the oldest accepted work item.
+func (e *Estimator) retireNext() { e.work.retire(e.epoch) }
 
 // QueueDelay reports how far behind the estimator's CPU currently is.
 func (e *Estimator) QueueDelay() sim.Time {

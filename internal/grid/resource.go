@@ -12,7 +12,9 @@ type execJob struct {
 
 // Resource is one managee node: a FCFS single server with a finite
 // service rate. It reports its load to the RMS through periodic,
-// change-suppressed status updates.
+// change-suppressed status updates on a lazy clock: a tick event is
+// pending only while the next update instant could send (see
+// markDirty and DESIGN.md §4).
 type Resource struct {
 	id      int
 	node    int // topology node
@@ -28,7 +30,15 @@ type Resource struct {
 	dirty        bool
 	lastSentLoad float64
 
-	ticker *sim.Ticker
+	// The lazy update clock. next is the earliest phase-aligned update
+	// instant not yet accounted for, advanced by the same repeated
+	// next+tau addition a periodic ticker performs; armed reports
+	// whether a tick event is pending at next. tickFn is the bound tick,
+	// built once so arming allocates nothing.
+	tau    sim.Time
+	next   sim.Time
+	armed  bool
+	tickFn func()
 }
 
 // Load is the paper's loading condition: jobs in service plus queued.
@@ -60,7 +70,7 @@ func (r *Resource) enqueue(ctx *JobCtx) {
 		return
 	}
 	r.eng.Metrics.RPOverhead += r.eng.Cfg.Costs.JobControl
-	r.dirty = true
+	r.markDirty()
 	if r.running == nil {
 		r.start(ctx)
 		return
@@ -102,7 +112,7 @@ func (r *Resource) complete(ctx *JobCtx) {
 		m.RPOverhead += ctx.Job.Runtime
 	}
 	r.running = nil
-	r.dirty = true
+	r.markDirty()
 	r.eng.jobTerminated(ctx.Job.ID)
 	if len(r.queue) > 0 {
 		next := r.queue[0]
@@ -111,21 +121,66 @@ func (r *Resource) complete(ctx *JobCtx) {
 	}
 }
 
-// startUpdates arms the periodic status updates with a phase offset so
-// the whole pool does not synchronize its update bursts.
+// startUpdates places the first status update instant with a phase
+// offset so the whole pool does not synchronize its update bursts. The
+// clock is armed there only when that instant could send; otherwise the
+// first state change arms it (markDirty).
 func (r *Resource) startUpdates(tau float64, phase *sim.Stream) {
-	offset := phase.Uniform(0, tau)
-	r.eng.K.After(offset, func() {
-		r.tick()
-		r.ticker = sim.NewTicker(r.eng.K, tau, r.tick)
-	})
+	r.tau = tau
+	r.next = r.eng.K.Now() + phase.Uniform(0, tau)
+	r.tickFn = r.tick
+	if r.eng.Cfg.Protocol.SuppressDelta <= 0 {
+		r.arm()
+	}
+}
+
+// arm schedules the tick at the next update instant.
+func (r *Resource) arm() {
+	r.armed = true
+	r.eng.K.Schedule(r.next, r.tickFn)
+}
+
+// markDirty records a load change. It is the only way the state a tick
+// decides on — (down, load, dirty, lastSentLoad) — changes while the
+// resource is up, so it is where a quiescent clock re-arms: the
+// instants skipped since the last tick all saw unchanged state and were
+// suppressed updates, and the next instant is the first that can see
+// this change.
+func (r *Resource) markDirty() {
+	r.dirty = true
+	if !r.quiescent() {
+		return
+	}
+	r.eng.Metrics.UpdatesSuppressed += r.skip(r.eng.K.Now(), false)
+	r.arm()
+}
+
+// quiescent reports whether the update clock runs — Run starts it —
+// with no tick pending.
+func (r *Resource) quiescent() bool { return !r.armed && r.tickFn != nil }
+
+// skip advances the unarmed clock past every instant before t (through
+// t when through is set) and returns how many it passed.
+func (r *Resource) skip(t sim.Time, through bool) int {
+	n := 0
+	for r.next < t || (through && r.next == t) {
+		r.next += r.tau
+		n++
+	}
+	return n
 }
 
 // tick sends one status update unless suppressed. The paper's update
 // optimization: when the load did not change significantly since the
 // previous update, the update is suppressed; all periodic schemes share
-// this behaviour.
+// this behaviour. A tick re-arms the clock only when the next instant
+// could send without a state change in between, which is exactly when
+// suppression is disabled: otherwise the update just sent (or
+// suppressed) leaves a state whose next tick is suppressed until
+// markDirty changes it.
 func (r *Resource) tick() {
+	r.armed = false
+	r.next = r.eng.K.Now() + r.tau
 	if r.down {
 		return
 	}
@@ -146,6 +201,19 @@ func (r *Resource) tick() {
 	r.dirty = false
 	r.lastSentLoad = load
 	r.eng.sendStatusUpdate(r, load)
+	if delta <= 0 {
+		r.arm()
+	}
+}
+
+// finishUpdates accounts, at the end of a run, for the update instants
+// the lazy clock skipped through now: each was a suppressed update. A
+// down resource's skipped instants fall in its outage, where no update
+// fires at all.
+func (r *Resource) finishUpdates() {
+	if !r.down && r.quiescent() {
+		r.eng.Metrics.UpdatesSuppressed += r.skip(r.eng.K.Now(), true)
+	}
 }
 
 // crash destroys the queue and takes the resource down; the engine
@@ -163,6 +231,9 @@ func (r *Resource) crash() {
 		r.eng.jobTerminated(r.running.ctx.Job.ID)
 	}
 	r.eng.Metrics.JobsLost += lost
+	if r.quiescent() {
+		r.eng.Metrics.UpdatesSuppressed += r.skip(r.eng.K.Now(), false)
+	}
 	r.queue = nil
 	r.running = nil
 	r.down = true
@@ -170,10 +241,15 @@ func (r *Resource) crash() {
 }
 
 // repair brings the resource back empty and dirty (so the next tick
-// reports the fresh state).
+// reports the fresh state). The instants an unarmed clock skipped since
+// the crash fell in the outage and fire no update, so they are passed
+// uncounted before markDirty re-arms.
 func (r *Resource) repair() {
 	r.down = false
-	r.dirty = true
+	if r.quiescent() {
+		r.skip(r.eng.K.Now(), false)
+	}
+	r.markDirty()
 }
 
 func abs(x float64) float64 {

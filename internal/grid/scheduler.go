@@ -52,6 +52,11 @@ type Scheduler struct {
 	peerScratch []int
 	oneRid      [1]int
 
+	// work is the CPU's FIFO of accepted work; retire is the bound
+	// retireNext every accepted item schedules, built once.
+	work   workQueue
+	retire func()
+
 	// Fault state (see faults.go). epoch invalidates queued Exec work
 	// when a crash destroys the scheduler's CPU state; owned tracks the
 	// jobs this scheduler is responsible for so a crash can re-home
@@ -234,17 +239,15 @@ func (s *Scheduler) Exec(cost float64, fn func()) {
 	}
 	finish := start + busy
 	s.busyUntil = finish
-	// Work queued before a crash dies with it: the closure only runs
-	// while the epoch it was scheduled under is still current.
-	epoch := s.epoch
-	//lint:allow hotalloc the queued work item with its epoch guard is the scheduler CPU's budgeted allocation (engine allocs_per_event gate)
-	s.eng.K.Schedule(finish, func() {
-		if s.epoch != epoch {
-			return
-		}
-		fn()
-	})
+	// Work queued before a crash dies with it: the item only runs while
+	// the epoch it was accepted under is still current.
+	s.work.push(workItem{fn: fn, epoch: s.epoch})
+	s.eng.K.Schedule(finish, s.retire)
 }
+
+// retireNext retires the oldest accepted work item (see workQueue for
+// why the head is always the item whose finish time this is).
+func (s *Scheduler) retireNext() { s.work.retire(s.epoch) }
 
 // QueueDelay reports how far behind the scheduler's CPU currently is.
 func (s *Scheduler) QueueDelay() sim.Time {

@@ -158,8 +158,8 @@ func benchKernelCancel(b *testing.B) {
 	}
 }
 
-// benchTickerCycle measures one ticker rearm cycle, the
-// highest-frequency periodic load in a grid run.
+// benchTickerCycle measures one ticker rearm cycle, the periodic load
+// every scheduler and estimator of a grid run carries.
 func benchTickerCycle(b *testing.B) {
 	k := sim.NewKernel()
 	n := 0
@@ -178,29 +178,34 @@ func benchTickerCycle(b *testing.B) {
 }
 
 // engineMetrics runs one base-grid smoke simulation for the model and
-// reports its event count (exact-gated: the simulation is deterministic
-// in the seed), allocations per event (max-gated) and throughput.
+// reports its event count and status-update counters (exact-gated: the
+// simulation is deterministic in the seed), allocations per event
+// (max-gated) and throughput. The update counters pin the
+// change-suppression accounting — one sent or suppressed update per
+// update instant — independently of how many kernel events the engine
+// spends on it.
 func engineMetrics(model string) ([]Metric, error) {
-	run := func() (uint64, error) {
+	run := func() (*rmscale.Engine, error) {
 		p, err := rmscale.ModelByName(model)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		cfg := rmscale.DefaultConfig()
 		cfg.Seed = benchSeed
 		eng, err := rmscale.NewEngine(cfg, p)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		eng.Run()
-		return eng.K.Processed(), nil
+		return eng, nil
 	}
 	start := time.Now()
-	events, err := run()
+	eng, err := run()
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
+	events := eng.K.Processed()
 	if events == 0 {
 		return nil, fmt.Errorf("perfbench: model %s processed no events", model)
 	}
@@ -214,9 +219,12 @@ func engineMetrics(model string) ([]Metric, error) {
 		return nil, runErr
 	}
 	prefix := "engine/" + model
+	m := eng.Metrics
 	out := []Metric{
 		{Name: prefix + "/events", Value: float64(events), Unit: "events", Gate: GateExact},
 		{Name: prefix + "/allocs_per_event", Value: allocs / float64(events), Unit: "allocs", Gate: GateMax},
+		{Name: prefix + "/updates_sent", Value: float64(m.UpdatesSent), Unit: "updates", Gate: GateExact},
+		{Name: prefix + "/updates_suppressed", Value: float64(m.UpdatesSuppressed), Unit: "updates", Gate: GateExact},
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		out = append(out, Metric{Name: prefix + "/events_per_sec", Value: float64(events) / s, Unit: "events/s", Gate: GateNone})

@@ -6,7 +6,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -31,28 +30,42 @@ func SPF(g *topology.Graph, src int) (*Table, error) {
 	if src < 0 || src >= g.N {
 		return nil, fmt.Errorf("routing: source %d out of range [0,%d)", src, g.N)
 	}
-	t := &Table{
-		Source:    src,
-		Latency:   make([]float64, g.N),
-		Hops:      make([]int, g.N),
-		NextHop:   make([]int, g.N),
-		Bandwidth: make([]float64, g.N),
+	t := newTable(g.N)
+	var q nodeQueue
+	spf(g, src, t, make([]bool, g.N), &q)
+	return t, nil
+}
+
+// newTable allocates a table for an n-node graph.
+func newTable(n int) *Table {
+	return &Table{
+		Latency:   make([]float64, n),
+		Hops:      make([]int, n),
+		NextHop:   make([]int, n),
+		Bandwidth: make([]float64, n),
 	}
+}
+
+// spf fills t with the routes from src, reusing done and q as scratch
+// (both are reset here), so AllPairs can run every source through one
+// set of buffers.
+func spf(g *topology.Graph, src int, t *Table, done []bool, q *nodeQueue) {
+	t.Source = src
 	for i := range t.Latency {
 		t.Latency[i] = math.Inf(1)
 		t.Hops[i] = -1
 		t.NextHop[i] = -1
+		t.Bandwidth[i] = 0
+		done[i] = false
 	}
 	t.Latency[src] = 0
 	t.Hops[src] = 0
 	t.NextHop[src] = src
 	t.Bandwidth[src] = math.Inf(1)
 
-	pq := &nodeQueue{{node: src, dist: 0}}
-	done := make([]bool, g.N)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		u := item.node
+	*q = append((*q)[:0], nodeItem{node: src, dist: 0})
+	for len(*q) > 0 {
+		u := q.pop().node
 		if done[u] {
 			continue
 		}
@@ -72,11 +85,10 @@ func SPF(g *topology.Graph, src int) (*Table, error) {
 				} else {
 					t.NextHop[e.To] = t.NextHop[u]
 				}
-				heap.Push(pq, nodeItem{node: e.To, dist: nd})
+				q.push(nodeItem{node: e.To, dist: nd})
 			}
 		}
 	}
-	return t, nil
 }
 
 // Path reconstructs the node sequence from the table's source to dst by
@@ -157,17 +169,22 @@ func AllPairs(g *topology.Graph, endpoints []int) (*Matrix, error) {
 		}
 	}
 	n := len(m.IDs)
+	// Three contiguous n*n arrays back the matrix rows, and one scratch
+	// table, done set and queue serve every source.
+	lat := make([]float64, n*n)
+	hops := make([]int, n*n)
+	bw := make([]float64, n*n)
 	m.Latency = make([][]float64, n)
 	m.Hops = make([][]int, n)
 	m.Bandwidth = make([][]float64, n)
+	t := newTable(g.N)
+	done := make([]bool, g.N)
+	var q nodeQueue
 	for i, u := range m.IDs {
-		t, err := SPF(g, u)
-		if err != nil {
-			return nil, err
-		}
-		m.Latency[i] = make([]float64, n)
-		m.Hops[i] = make([]int, n)
-		m.Bandwidth[i] = make([]float64, n)
+		spf(g, u, t, done, &q)
+		m.Latency[i] = lat[i*n : (i+1)*n : (i+1)*n]
+		m.Hops[i] = hops[i*n : (i+1)*n : (i+1)*n]
+		m.Bandwidth[i] = bw[i*n : (i+1)*n : (i+1)*n]
 		for j, v := range m.IDs {
 			m.Latency[i][j] = t.Latency[v]
 			m.Hops[i][j] = t.Hops[v]
@@ -193,22 +210,58 @@ func (m *Matrix) Between(u, v int) (latency float64, hops int, bandwidth float64
 	return m.Latency[i][j], m.Hops[i][j], m.Bandwidth[i][j], nil
 }
 
-// nodeItem / nodeQueue implement the Dijkstra priority queue.
+// nodeItem is one Dijkstra priority-queue entry.
 type nodeItem struct {
 	node int
 	dist float64
 }
 
+// nodeQueue is the Dijkstra priority queue: a binary min-heap on dist.
+// push and pop repeat container/heap's sift steps swap for swap, so
+// entries with equal distances pop in the order that package would pop
+// them and route choices between equal-latency paths are unchanged;
+// being typed, they box no entry.
 type nodeQueue []nodeItem
 
-func (q nodeQueue) Len() int           { return len(q) }
-func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(nodeItem)) }
-func (q *nodeQueue) Pop() (popped any) { // named result clarifies the contract
-	old := *q
-	n := len(old)
-	popped = old[n-1]
-	*q = old[:n-1]
-	return popped
+// push adds it and sifts it up (container/heap's up).
+func (q *nodeQueue) push(it nodeItem) {
+	h := append(*q, it)
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+// pop removes and returns the minimum: swap it with the last entry,
+// sift the new root down over the rest (container/heap's down), then
+// truncate.
+func (q *nodeQueue) pop() nodeItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*q = h[:n]
+	return it
 }

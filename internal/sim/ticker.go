@@ -2,8 +2,8 @@ package sim
 
 // Ticker fires a callback at a fixed simulated period until stopped or
 // until the kernel runs out of horizon. It is the building block for
-// periodic status updates, volunteering intervals, and estimator digest
-// cycles.
+// volunteering intervals, estimator digest cycles and audit
+// checkpoints.
 type Ticker struct {
 	k      *Kernel
 	period Time
@@ -19,8 +19,8 @@ type Ticker struct {
 //
 // The rearm closure is built once here: with the kernel's event free
 // list warm, every subsequent tick reschedules with zero heap
-// allocations — tickers are the highest-frequency periodic load in a
-// grid run (every resource, estimator and scheduler carries one).
+// allocations — every estimator and scheduler of a grid run carries a
+// ticker.
 //
 //lint:hotpath kernel/ticker gates the steady tick-rearm cycle at zero allocations per event
 func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
@@ -31,14 +31,15 @@ func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
 		if t.done {
 			return
 		}
+		// The firing event retires when this callback returns; drop the
+		// handle so neither fn nor a later Stop can cancel its recycled
+		// successor.
+		t.ev = nil
 		t.fn()
-		if !t.done { // fn may have stopped us
+		// fn may have stopped the ticker, or re-armed it through Reset;
+		// either way this firing must not arm another event.
+		if !t.done && t.ev == nil {
 			t.arm()
-		} else {
-			// The firing event retires when this callback returns; drop
-			// the handle so a later Stop cannot cancel its recycled
-			// successor.
-			t.ev = nil
 		}
 	}
 	if period <= 0 {
@@ -73,7 +74,8 @@ func (t *Ticker) Stopped() bool { return t.done }
 func (t *Ticker) Period() Time { return t.period }
 
 // Reset stops the ticker and restarts it with a new period, firing one
-// new period from now. A non-positive period leaves it stopped.
+// new period from now. A non-positive period leaves it stopped. It is
+// safe to call from within the tick callback.
 func (t *Ticker) Reset(period Time) {
 	t.Stop()
 	t.period = period

@@ -132,3 +132,28 @@ func TestTickerResetAfterStop(t *testing.T) {
 		t.Fatalf("ticks after Reset(0): %v", got)
 	}
 }
+
+// TestTickerResetFromCallback: a Reset inside the tick callback re-arms
+// the ticker itself, so the firing tick must not arm a second event.
+func TestTickerResetFromCallback(t *testing.T) {
+	k := NewKernel()
+	var got []Time
+	var tk *Ticker
+	tk = NewTicker(k, 1, func() {
+		got = append(got, k.Now())
+		if len(got) == 1 {
+			tk.Reset(3)
+		}
+	})
+	k.Run(10)
+	if !reflect.DeepEqual(got, []Time{1, 4, 7, 10}) {
+		t.Fatalf("ticks = %v, want [1 4 7 10]", got)
+	}
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after in-callback Reset, want the ticker's one", n)
+	}
+	tk.Stop()
+	if n := k.Pending(); n != 0 {
+		t.Fatalf("%d events pending after Stop", n)
+	}
+}
