@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint depscheck test race bench benchcheck gobench chaos chaos-service crashtest loadtest
+.PHONY: check build fmt vet lint depscheck test race fuzz bench benchcheck gobench chaos chaos-service crashtest loadtest
 
 # The gate CI runs: gofmt + vet + stdlib-only dependency check +
 # determinism lint + full test suite + race + the fixed-seed chaos
@@ -50,6 +50,12 @@ test: build
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/service/...
+
+# Fuzz the simulation kernel for a fixed budget: FuzzKernelOps drives
+# random schedule/ticker/step/run/stop sequences beyond its committed
+# seed corpus, which `go test` only replays.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 15s ./internal/sim
 
 # Refresh the committed benchmark baseline: run the regression harness
 # (internal/perfbench) and overwrite BENCH_sim.json with its report.

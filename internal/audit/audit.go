@@ -192,7 +192,7 @@ func Attach(e *grid.Engine, cfg Config) (*Auditor, error) {
 		return nil, fmt.Errorf("audit: engine already has an audit hook")
 	}
 	e.AuditHook = a.finish
-	sim.NewTicker(e.K, cfg.Interval, a.checkpoint)
+	e.K.Every(cfg.Interval, a.checkpoint)
 	return a, nil
 }
 

@@ -281,7 +281,7 @@ func (e *Engine) Run() Summary {
 		offset := phase.Uniform(0, e.Cfg.Enablers.VolunteerInterval)
 		e.K.After(offset, func() {
 			tick()
-			sim.NewTicker(e.K, e.Cfg.Enablers.VolunteerInterval, tick)
+			e.K.Every(e.Cfg.Enablers.VolunteerInterval, tick)
 		})
 	}
 	// Failure injection.

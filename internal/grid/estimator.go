@@ -175,6 +175,6 @@ func (e *Estimator) startDigests(interval float64, phase *sim.Stream) {
 	offset := phase.Uniform(0, interval)
 	e.eng.K.After(offset, func() {
 		e.flush()
-		sim.NewTicker(e.eng.K, interval, e.flush)
+		e.eng.K.Every(interval, e.flush)
 	})
 }

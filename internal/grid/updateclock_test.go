@@ -46,7 +46,7 @@ func shadowClocks(e *Engine) (up, all *int) {
 		}
 		e.K.After(phase.Uniform(0, tau), func() {
 			check()
-			sim.NewTicker(e.K, tau, check)
+			e.K.Every(tau, check)
 		})
 	}
 	return up, all

@@ -120,7 +120,7 @@ var DefaultConfig = Config{
 	Exhaustive: []string{"rmscale/..."},
 
 	// Hot-path allocation budgets can be declared anywhere; the marks
-	// currently live in internal/sim (kernel ops, Ticker), internal/grid
+	// currently live in internal/sim (kernel ops, Every), internal/grid
 	// (per-event message fabric) and internal/service (dedup fast path).
 	HotAlloc: []string{"rmscale/..."},
 

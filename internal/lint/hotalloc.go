@@ -14,7 +14,7 @@ import (
 //
 //	//lint:hotpath <reason>
 //
-// doc-comment directive — the fel.go kernel ops, the Ticker, the
+// doc-comment directive — the kernel ops, Kernel.Every, the
 // engine's per-event message fabric, the service dedup fast path — is
 // a hot root; the analyzer flags heap-allocation constructs in the
 // root and in every callee reachable through statically resolved

@@ -108,7 +108,6 @@ func kernelMetrics() []Metric {
 		}
 	}
 	add("kernel/steady", testing.Benchmark(benchKernelSteady))
-	add("kernel/cancel", testing.Benchmark(benchKernelCancel))
 	add("kernel/ticker", testing.Benchmark(benchTickerCycle))
 	return out
 }
@@ -116,7 +115,7 @@ func kernelMetrics() []Metric {
 // benchKernelSteady measures the self-rescheduling steady state: a
 // fixed population of events, each firing and rescheduling itself —
 // the regime every grid run settles into, and the regime the kernel's
-// free list plus implicit heap keep allocation-free.
+// value heap keeps allocation-free once its backing array has grown.
 func benchKernelSteady(b *testing.B) {
 	k := sim.NewKernel()
 	const fan = 512
@@ -125,30 +124,7 @@ func benchKernelSteady(b *testing.B) {
 		fn = func() { k.After(1, fn) }
 		k.Schedule(sim.Time(i)/fan, fn)
 	}
-	for k.Processed() < 4*fan { // warm the free list
-		k.Step()
-	}
-	b.ResetTimer()
-	target := k.Processed() + uint64(b.N)
-	for k.Processed() < target {
-		k.Step()
-	}
-}
-
-// benchKernelCancel adds the cancellation path: every firing event
-// cancels a previously scheduled sibling and schedules a fresh one,
-// exercising lazy deletion and struct recycling together.
-func benchKernelCancel(b *testing.B) {
-	k := sim.NewKernel()
-	var pending *sim.Event
-	var fn func()
-	fn = func() {
-		k.Cancel(pending)
-		pending = k.After(2, func() {})
-		k.After(1, fn)
-	}
-	k.After(1, fn)
-	for k.Processed() < 64 {
+	for k.Processed() < 4*fan { // grow the heap's backing array
 		k.Step()
 	}
 	b.ResetTimer()
@@ -159,11 +135,12 @@ func benchKernelCancel(b *testing.B) {
 }
 
 // benchTickerCycle measures one ticker rearm cycle, the periodic load
-// every scheduler and estimator of a grid run carries.
+// every scheduler and estimator of a grid run carries. Every builds its
+// rearm closure once, so a tick allocates nothing after the warm-up.
 func benchTickerCycle(b *testing.B) {
 	k := sim.NewKernel()
 	n := 0
-	sim.NewTicker(k, 1, func() { n++ })
+	k.Every(1, func() { n++ })
 	for k.Processed() < 64 {
 		k.Step()
 	}

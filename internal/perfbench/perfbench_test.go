@@ -102,7 +102,6 @@ func TestHarnessSmoke(t *testing.T) {
 	}
 	want := []string{
 		"kernel/steady/allocs_per_event",
-		"kernel/cancel/allocs_per_event",
 		"kernel/ticker/allocs_per_event",
 		"engine/CENTRAL/events",
 		"engine/LOWEST/allocs_per_event",

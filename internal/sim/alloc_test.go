@@ -10,14 +10,14 @@ import (
 // fails `go test`, machine-independently, instead of waiting for
 // someone to read a benchmark.
 
-// TestScheduleFireZeroAlloc: once the free list is warm, one
-// schedule→fire cycle performs zero heap allocations.
+// TestScheduleFireZeroAlloc: once the heap's backing array has grown,
+// one schedule→fire cycle performs zero heap allocations.
 func TestScheduleFireZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var fn func()
 	fn = func() { k.After(1, fn) }
 	k.After(1, fn)
-	for k.Processed() < 64 { // warm the free list
+	for k.Processed() < 64 { // grow the heap's backing array
 		k.Step()
 	}
 	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
@@ -25,33 +25,12 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCancelRecycleZeroAlloc: the cancel-and-replace churn pattern
-// (every protocol timeout does this) is also allocation-free once warm,
-// including lazy-deletion bookkeeping.
-func TestCancelRecycleZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	var pending *Event
-	var fn func()
-	fn = func() {
-		k.Cancel(pending)
-		pending = k.After(2, func() {})
-		k.After(1, fn)
-	}
-	k.After(1, fn)
-	for k.Processed() < 256 {
-		k.Step()
-	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("steady-state cancel/replace cycle allocates %.1f times, want 0", allocs)
-	}
-}
-
 // TestTickerRearmZeroAlloc: a ticker tick (fire + rearm) allocates
-// nothing once warm — the rearm closure is built once at NewTicker.
+// nothing once warm — the rearm closure is built once by Every.
 func TestTickerRearmZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	NewTicker(k, 1, func() { n++ })
+	k.Every(1, func() { n++ })
 	for k.Processed() < 64 {
 		k.Step()
 	}

@@ -1,31 +1,33 @@
 package sim
 
 // This file is the kernel's future event list: a 4-ary implicit
-// min-heap of *Event ordered by (time, sequence), with lazy deletion of
-// cancelled events and a free list that recycles Event structs.
+// min-heap of event values ordered by (time, sequence).
 //
 // Why not container/heap: the interface-based heap routes every push
 // and pop through heap.Interface method calls and `any` conversions on
 // the hottest path of the whole reproduction (every figure re-runs the
 // grid simulation hundreds of times inside the per-k tuner). The
-// implicit 4-ary layout halves the tree depth of a binary heap, keeps
-// the child scan inside one cache line, and compiles to direct slice
-// indexing with no boxing.
+// implicit 4-ary layout halves the tree depth of a binary heap and
+// compiles to direct slice indexing with no boxing. Storing events by
+// value, rather than as pointers to recycled structs, means scheduling
+// allocates nothing once the backing array has grown to the run's peak
+// population, and no handle can outlive the event it names.
 //
 // Fire-order invariance: (time, sequence) is a total order over events,
 // so the pop sequence of any correct min-heap over the same event set
-// is identical regardless of internal array layout. Replacing the
-// binary heap, deleting lazily, and compacting are therefore all
-// behaviour-invisible; the golden outputs and chaos fingerprints pin
-// this.
+// is identical regardless of internal array layout. The heap's arity
+// and storage are therefore behaviour-invisible; the golden outputs and
+// chaos fingerprints pin this.
 
-// compactMin is the smallest number of lazily-deleted events that can
-// trigger a compaction sweep; below it the dead weight is too small to
-// be worth rebuilding the heap.
-const compactMin = 64
+// event is one scheduled callback.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
 
 // before orders events by (time, sequence) — the kernel's total order.
-func (e *Event) before(o *Event) bool {
+func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -34,40 +36,32 @@ func (e *Event) before(o *Event) bool {
 
 // fel is the future event list.
 type fel struct {
-	ev []*Event
-	// dead counts cancelled events still buried in the heap. Cancel
-	// marks and counts; pop and compact collect.
-	dead int
+	ev []event
 }
 
-// live returns the number of pending non-cancelled events.
-func (f *fel) live() int { return len(f.ev) - f.dead }
-
 // push inserts e, sifting it up to its (time, sequence) position.
-func (f *fel) push(e *Event) {
-	e.inFEL = true
+func (f *fel) push(e event) {
 	i := len(f.ev)
 	f.ev = append(f.ev, e)
 	for i > 0 {
 		p := (i - 1) >> 2
-		pe := f.ev[p]
-		if !e.before(pe) {
+		if !e.before(&f.ev[p]) {
 			break
 		}
-		f.ev[i] = pe
+		f.ev[i] = f.ev[p]
 		i = p
 	}
 	f.ev[i] = e
 }
 
 // pop removes and returns the earliest event. The caller must know the
-// list is non-empty.
-func (f *fel) pop() *Event {
+// list is non-empty. The vacated slot is zeroed so the heap's spare
+// capacity never pins a fired callback's closure.
+func (f *fel) pop() event {
 	root := f.ev[0]
-	root.inFEL = false
 	n := len(f.ev) - 1
 	last := f.ev[n]
-	f.ev[n] = nil
+	f.ev[n] = event{}
 	f.ev = f.ev[:n]
 	if n > 0 {
 		f.siftDown(last, 0)
@@ -76,91 +70,24 @@ func (f *fel) pop() *Event {
 }
 
 // siftDown places e at index i, walking it down past smaller children.
-func (f *fel) siftDown(e *Event, i int) {
+func (f *fel) siftDown(e event, i int) {
 	n := len(f.ev)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m, me := c, f.ev[c]
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		m, end := c, min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if f.ev[j].before(me) {
-				m, me = j, f.ev[j]
+			if f.ev[j].before(&f.ev[m]) {
+				m = j
 			}
 		}
-		if !me.before(e) {
+		if !f.ev[m].before(&e) {
 			break
 		}
-		f.ev[i] = me
+		f.ev[i] = f.ev[m]
 		i = m
 	}
 	f.ev[i] = e
-}
-
-// compact removes every cancelled event in one sweep and re-heapifies
-// in place (Floyd's O(n) build). The live events re-form a heap with a
-// different internal layout, but the pop order is fixed by the
-// (time, sequence) total order, so fire order is unchanged.
-func (k *Kernel) compact() {
-	f := &k.fel
-	live := f.ev[:0]
-	for _, e := range f.ev {
-		if e.canceled {
-			e.inFEL = false
-			k.recycle(e)
-			continue
-		}
-		live = append(live, e)
-	}
-	for i := len(live); i < len(f.ev); i++ {
-		f.ev[i] = nil
-	}
-	f.ev = live
-	f.dead = 0
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		f.siftDown(f.ev[i], i)
-	}
-}
-
-// maybeCompact sweeps once the cancelled events outnumber the live
-// ones, bounding both the heap's dead weight and the amortized cost of
-// cancellation at O(1) per event.
-func (k *Kernel) maybeCompact() {
-	if d := k.fel.dead; d >= compactMin && d > len(k.fel.ev)/2 {
-		k.compact()
-	}
-}
-
-// recycle returns a retired Event struct to the free list. The closure
-// is dropped immediately so the free list never pins model state.
-func (k *Kernel) recycle(e *Event) {
-	e.fn = nil
-	k.free = append(k.free, e)
-}
-
-// newEvent takes a struct off the free list (or allocates the list's
-// very first events) and initializes it. In steady state — the regime
-// every grid run reaches within one ticker period — Schedule performs
-// zero heap allocations.
-func (k *Kernel) newEvent(at Time, fn func()) *Event {
-	var e *Event
-	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		e.at = at
-		e.seq = k.seq
-		e.fn = fn
-		e.canceled = false
-	} else {
-		//lint:allow hotalloc free-list cold start: each Event struct is allocated once here and recycled forever after
-		e = &Event{at: at, seq: k.seq, fn: fn}
-	}
-	k.seq++
-	return e
 }

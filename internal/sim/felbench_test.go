@@ -26,27 +26,6 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCancel measures the schedule+cancel path: every event
-// that fires schedules a sibling and cancels it again, so half the
-// scheduled load is lazily deleted — the superscheduler session pattern
-// (timeouts armed and disarmed per protocol round).
-func BenchmarkKernelCancel(b *testing.B) {
-	b.ReportAllocs()
-	k := NewKernel()
-	noop := func() {}
-	var fn func()
-	fn = func() {
-		victim := k.After(3, noop)
-		k.Cancel(victim)
-		k.After(1, fn)
-	}
-	k.Schedule(0, fn)
-	b.ResetTimer()
-	for k.Processed() < uint64(b.N) {
-		k.Step()
-	}
-}
-
 // BenchmarkKernelBulk is the cold-start pattern: a large batch scheduled
 // up front (job arrivals), then drained in time order.
 func BenchmarkKernelBulk(b *testing.B) {
@@ -64,12 +43,12 @@ func BenchmarkKernelBulk(b *testing.B) {
 }
 
 // BenchmarkTickerCycle measures one full ticker period: the rearm path
-// must not allocate once the kernel's free list is warm.
+// must not allocate once the heap's backing array has grown.
 func BenchmarkTickerCycle(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
 	ticks := 0
-	NewTicker(k, 1, func() { ticks++ })
+	k.Every(1, func() { ticks++ })
 	b.ResetTimer()
 	for ticks < b.N {
 		k.Step()

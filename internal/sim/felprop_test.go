@@ -6,33 +6,31 @@ import (
 )
 
 // Differential test of the future event list: the kernel (implicit
-// 4-ary heap, lazy deletion, free-list recycling) is driven alongside a
-// trivially correct reference model — a flat slice popped by linear
-// scan for the minimum (time, insertion order) — through long seeded
-// sequences of Schedule/Cancel/Reschedule/Step. Any divergence in fire
+// 4-ary value heap) is driven alongside a trivially correct reference
+// model — a flat slice popped by linear scan for the minimum (time,
+// insertion order) — through long seeded sequences of schedules,
+// self-rescheduling events, tickers and steps. Any divergence in fire
 // order, fire count or pending count fails. The sequence deliberately
-// produces timestamp ties (seq tie-breaking), cancellations of the
-// event the reference says fires next (cancel-at-head), and
-// cancel-then-reschedule churn deep enough to cross the lazy-deletion
-// compaction threshold.
+// produces timestamp ties (seq tie-breaking), zero-delay reschedules
+// from inside a firing callback, and enough reschedule churn that the
+// heap shrinks and regrows through its backing array many times.
 
 // felRec mirrors one scheduled event in the reference model. Records
 // are appended in schedule order, which is also sequence order, so the
-// first record with the minimum time among live records is exactly the
-// kernel's (time, seq) minimum.
+// first record with the minimum time among pending records is exactly
+// the kernel's (time, seq) minimum.
 type felRec struct {
-	ev       *Event
-	at       Time
-	canceled bool
-	fired    bool
+	at    Time
+	fired bool
+	plain bool // scheduled by the test, not a ticker's rearm
 }
 
 // refNext returns the index of the record the reference model says
-// fires next, or -1 when none are live.
+// fires next, or -1 when none are pending.
 func refNext(all []*felRec) int {
 	best := -1
 	for i, r := range all {
-		if r.fired || r.canceled {
+		if r.fired {
 			continue
 		}
 		if best == -1 || r.at < all[best].at {
@@ -42,10 +40,12 @@ func refNext(all []*felRec) int {
 	return best
 }
 
-func refLive(all []*felRec) int {
+// refPending counts the records still to fire; with plainOnly it skips
+// the tickers' next ticks, which are always pending.
+func refPending(all []*felRec, plainOnly bool) int {
 	n := 0
 	for _, r := range all {
-		if !r.fired && !r.canceled {
+		if !r.fired && (r.plain || !plainOnly) {
 			n++
 		}
 	}
@@ -66,14 +66,33 @@ func runFELDifferential(t *testing.T, seed int64) {
 	k := NewKernel()
 	var all []*felRec
 	lastFired := -1
-	schedule := func(at Time) {
-		r := &felRec{at: at}
+	// schedule adds a one-shot event at at; when it fires it schedules
+	// a follow-up again delays later, for each delay in again.
+	var schedule func(at Time, again []Time)
+	schedule = func(at Time, again []Time) {
 		id := len(all)
-		r.ev = k.Schedule(at, func() {
-			r.fired = true
+		all = append(all, &felRec{at: at, plain: true})
+		k.Schedule(at, func() {
+			all[id].fired = true
 			lastFired = id
+			if len(again) > 0 {
+				schedule(k.Now()+again[0], again[1:])
+			}
 		})
-		all = append(all, r)
+	}
+	// ticker starts a periodic process; each tick retires its record
+	// and records the rearm the kernel schedules after the callback.
+	tickers := 0
+	ticker := func(period Time) {
+		tickers++
+		id := len(all)
+		all = append(all, &felRec{at: k.Now() + period})
+		k.Every(period, func() {
+			all[id].fired = true
+			lastFired = id
+			id = len(all)
+			all = append(all, &felRec{at: k.Now() + period})
+		})
 	}
 	step := func() {
 		want := refNext(all)
@@ -88,14 +107,6 @@ func runFELDifferential(t *testing.T, seed int64) {
 				lastFired, all[lastFired].at, want, all[want].at)
 		}
 	}
-	cancel := func(i int) {
-		r := all[i]
-		if r.fired || r.canceled {
-			return // the handle's lifetime is over; cancelling would be a model bug
-		}
-		r.canceled = true
-		k.Cancel(r.ev)
-	}
 
 	const ops = 6000
 	for op := 0; op < ops; op++ {
@@ -105,42 +116,38 @@ func runFELDifferential(t *testing.T, seed int64) {
 			// timestamp to force (time, seq) tie-breaking.
 			at := k.Now() + rng.Float64()*10
 			if len(all) > 0 && rng.Float64() < 0.33 {
-				if r := all[rng.Intn(len(all))]; !r.fired && !r.canceled && r.at >= k.Now() {
+				if r := all[rng.Intn(len(all))]; !r.fired {
 					at = r.at
 				}
 			}
-			schedule(at)
-		case x < 0.58 && len(all) > 0:
-			// Cancel: half the time a uniformly random handle, half the
-			// time exactly the event due to fire next.
-			i := rng.Intn(len(all))
-			if rng.Float64() < 0.5 {
-				if head := refNext(all); head != -1 {
-					i = head
+			schedule(at, nil)
+		case x < 0.55:
+			// Reschedule churn: an event that, each time it fires,
+			// schedules its successor — a third of the time with zero
+			// delay, a tie at the firing instant.
+			again := make([]Time, rng.Intn(5))
+			for i := range again {
+				if rng.Float64() >= 0.33 {
+					again[i] = rng.Float64() * 10
 				}
 			}
-			cancel(i)
-		case x < 0.68 && len(all) > 0:
-			// Reschedule: cancel a live event and schedule a replacement
-			// at a fresh future time.
-			i := rng.Intn(len(all))
-			if !all[i].fired && !all[i].canceled {
-				cancel(i)
-				schedule(k.Now() + rng.Float64()*10)
-			}
+			schedule(k.Now()+rng.Float64()*10, again)
+		case x < 0.56 && tickers < 4:
+			ticker(Time(1 + rng.Intn(8)))
 		default:
 			step()
 		}
-		if got, want := k.Pending(), refLive(all); got != want {
-			t.Fatalf("op %d: Pending() = %d, reference has %d live events", op, got, want)
+		if got, want := k.Pending(), refPending(all, false); got != want {
+			t.Fatalf("op %d: Pending() = %d, reference has %d pending events", op, got, want)
 		}
 	}
-	// Drain: the remaining fire order must match the reference exactly.
-	for refLive(all) > 0 {
+	// Drain: the remaining fire order must match the reference exactly
+	// until every one-shot has fired; the tickers never run dry.
+	for refPending(all, true) > 0 {
 		step()
 	}
-	if k.Step() {
-		t.Fatal("kernel fired an event the reference does not have")
+	if got, want := k.Pending(), tickers; got != want {
+		t.Fatalf("Pending() = %d after the drain, want one per ticker (%d)", got, want)
 	}
 	if err := k.Err(); err != nil {
 		t.Fatalf("kernel unhealthy after drain: %v", err)

@@ -204,59 +204,3 @@ func TestLogUniformBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTickerFiresPeriodically(t *testing.T) {
-	k := NewKernel()
-	var fires []Time
-	NewTicker(k, 10, func() { fires = append(fires, k.Now()) })
-	k.Run(55)
-	want := []Time{10, 20, 30, 40, 50}
-	if len(fires) != len(want) {
-		t.Fatalf("ticker fired %d times (%v), want %d", len(fires), fires, len(want))
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, fires[i], want[i])
-		}
-	}
-}
-
-func TestTickerStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	var tk *Ticker
-	tk = NewTicker(k, 5, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	k.Run(1000)
-	if count != 3 {
-		t.Fatalf("ticker fired %d times after Stop, want 3", count)
-	}
-	if !tk.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
-func TestTickerDisabledOnNonPositivePeriod(t *testing.T) {
-	k := NewKernel()
-	tk := NewTicker(k, 0, func() { t.Fatal("disabled ticker fired") })
-	if !tk.Stopped() {
-		t.Fatal("zero-period ticker not stopped")
-	}
-	k.Run(100)
-}
-
-func TestTickerReset(t *testing.T) {
-	k := NewKernel()
-	var fires []Time
-	tk := NewTicker(k, 10, func() { fires = append(fires, k.Now()) })
-	k.Run(25) // fires at 10, 20
-	tk.Reset(100)
-	k.Run(200) // fires at 125
-	if len(fires) != 3 || fires[2] != 125 {
-		t.Fatalf("after Reset fires = %v, want [10 20 125]", fires)
-	}
-}

@@ -2,19 +2,24 @@
 //
 // It replaces the Parsec simulation environment used by the paper: a
 // single-threaded event loop with an implicit 4-ary-heap future event
-// list, a simulated clock, cancellable events, and named deterministic
+// list, a simulated clock, periodic processes, and named deterministic
 // random number streams. Determinism is total: two runs with the same
 // seed and the same schedule of calls produce identical event orders,
 // because ties in event time are broken by a monotonically increasing
 // sequence number.
 //
+// Events are schedule-and-forget: Schedule, After and Every hand back
+// no handle, and a scheduled callback always fires once the clock
+// reaches it. A model that must abandon scheduled work checks its own
+// state when the callback runs, as the grid's CPU queues do with a
+// node's crash epoch.
+//
 // The kernel is the cost center of the whole reproduction (every figure
 // re-runs the grid simulation hundreds of times inside the annealing
-// tuner), so its hot path is allocation-free in steady state: Event
-// structs are recycled through a free list once they fire or their
-// cancellation is collected, and the future event list is an implicit
-// heap with no interface boxing (see fel.go and DESIGN.md, "Kernel
-// performance").
+// tuner), so its hot path is allocation-free in steady state: the
+// future event list is an implicit heap of event values with no
+// per-event struct and no interface boxing (see fel.go and DESIGN.md,
+// "Kernel performance").
 package sim
 
 import (
@@ -29,30 +34,6 @@ type Time = float64
 // Infinity is a time later than any event the kernel will ever fire.
 const Infinity Time = math.MaxFloat64
 
-// Event is a scheduled callback. The zero value is not useful; events
-// are created through Kernel.Schedule or Kernel.After and may be
-// cancelled through their handle.
-//
-// Handle lifetime: a handle is valid until its event fires (or, for a
-// cancelled event, until the kernel collects it). The kernel recycles
-// retired Event structs, so retaining a handle past that point and
-// cancelling it later may cancel an unrelated future event — a model
-// bug, just like scheduling in the past. Every in-tree holder (the
-// Ticker, protocol sessions) refreshes its handle on each reschedule.
-type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	inFEL    bool // currently linked into the future event list
-}
-
-// At reports the simulated time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
 // concurrent use; one simulation runs on one goroutine. Run many Kernels
 // in parallel for parameter sweeps.
@@ -60,7 +41,6 @@ type Kernel struct {
 	now       Time
 	seq       uint64
 	fel       fel // future event list (fel.go)
-	free      []*Event
 	processed uint64
 	stopped   bool
 
@@ -92,15 +72,14 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of live (non-cancelled) events in the
-// future event list.
-func (k *Kernel) Pending() int { return k.fel.live() }
+// Pending returns the number of events in the future event list.
+func (k *Kernel) Pending() int { return len(k.fel.ev) }
 
 // Schedule arranges for fn to run at absolute simulated time at.
 // Scheduling in the past panics: it is always a model bug.
 //
 //lint:hotpath kernel/steady gates Schedule at zero allocations per event in steady state
-func (k *Kernel) Schedule(at Time, fn func()) *Event {
+func (k *Kernel) Schedule(at Time, fn func()) {
 	if at < k.now {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
@@ -109,39 +88,42 @@ func (k *Kernel) Schedule(at Time, fn func()) *Event {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic("sim: schedule nil func")
 	}
-	e := k.newEvent(at, fn)
-	k.fel.push(e)
-	return e
+	k.fel.push(event{at: at, seq: k.seq, fn: fn})
+	k.seq++
 }
 
 // After arranges for fn to run d time units from now. Negative delays
 // panic.
 //
 //lint:hotpath every periodic process reschedules through After; kernel/steady gates it at zero allocations
-func (k *Kernel) After(d Time, fn func()) *Event {
+func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.Schedule(k.now+d, fn)
+	k.Schedule(k.now+d, fn)
 }
 
-// Cancel marks the event so it will not fire. Cancelling an event that
-// already fired or was already cancelled is a no-op (but see the handle
-// lifetime note on Event). The event stays in the future event list
-// until it surfaces or a compaction sweep collects it; either way its
-// struct returns to the free list.
+// Every runs fn every period time units, first one period from now,
+// for as long as the kernel runs. Each tick is rearmed after fn
+// returns, so the next tick is ordered after anything fn schedules for
+// the same instant. A non-positive period schedules nothing, which lets
+// callers treat "interval = 0" as "off". It is the building block for
+// volunteering intervals, estimator digest cycles and audit
+// checkpoints.
 //
-//lint:hotpath kernel/cancel gates the cancel-heavy regime at zero allocations per event
-func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.canceled {
+//lint:hotpath kernel/ticker gates the steady tick-rearm cycle at zero allocations per event
+func (k *Kernel) Every(period Time, fn func()) {
+	if period <= 0 {
 		return
 	}
-	e.canceled = true
-	if e.inFEL {
-		k.fel.dead++
-		k.maybeCompact()
+	var tick func()
+	//lint:allow hotalloc the single reusable rearm closure; paying for it once here is what makes every later tick allocation-free
+	tick = func() {
+		fn()
+		k.After(period, tick)
 	}
+	k.After(period, tick)
 }
 
 // Stop makes the current Run return after the event being processed
@@ -153,26 +135,20 @@ func (k *Kernel) Stop() { k.stopped = true }
 //
 //lint:hotpath the dispatch loop body; every simulated event passes through it
 func (k *Kernel) Step() bool {
-	for len(k.fel.ev) > 0 {
-		e := k.fel.pop()
-		if e.canceled {
-			k.fel.dead--
-			k.recycle(e)
-			continue
-		}
-		k.now = e.at
-		k.processed++
-		k.noteProgress(e.at)
-		e.fn()
-		k.recycle(e)
-		return true
+	if len(k.fel.ev) == 0 {
+		return false
 	}
-	return false
+	e := k.fel.pop()
+	k.now = e.at
+	k.processed++
+	k.noteProgress(e.at)
+	e.fn()
+	return true
 }
 
-// noteProgress feeds the no-progress watchdog: it counts consecutive
-// events executed at the same timestamp and trips Stalled when the
-// streak exceeds StallEvents.
+// noteProgress feeds the no-progress watchdog with the timestamp of the
+// next event to execute: it counts consecutive events at the same
+// timestamp and trips Stalled when the streak reaches StallEvents.
 func (k *Kernel) noteProgress(at Time) {
 	if k.StallEvents == 0 {
 		return
@@ -203,30 +179,22 @@ func (k *Kernel) Run(until Time) uint64 {
 			k.Overflowed = true
 			break
 		}
-		next := k.fel.ev[0]
-		if next.canceled {
-			k.fel.pop()
-			k.fel.dead--
-			k.recycle(next)
-			continue
-		}
-		if next.at > until {
+		at := k.fel.ev[0].at
+		if at > until {
 			break
 		}
-		k.fel.pop()
-		k.now = next.at
-		k.noteProgress(next.at)
+		k.now = at
+		k.noteProgress(at)
 		if k.Stalled {
-			// Watchdog tripped: leave the offending event pending so a
+			// Watchdog tripped: the offending event stays pending, so a
 			// diagnostic dump (NextEventTimes) still shows the work the
-			// model was spinning on, and do not count it as processed.
-			k.fel.push(next)
+			// model was spinning on, and it is not counted as processed.
 			break
 		}
+		e := k.fel.pop()
 		k.processed++
 		n++
-		next.fn()
-		k.recycle(next)
+		e.fn()
 	}
 	if k.Stalled {
 		return n
@@ -271,14 +239,12 @@ func (k *Kernel) Err() error {
 }
 
 // NextEventTimes returns the firing times of up to n earliest pending
-// live events, in order. It is a diagnostic accessor for post-mortem
-// dumps and does not disturb the future event list.
+// events, in order. It is a diagnostic accessor for post-mortem dumps
+// and does not disturb the future event list.
 func (k *Kernel) NextEventTimes(n int) []Time {
-	times := make([]Time, 0, n)
-	for _, e := range k.fel.ev {
-		if !e.canceled {
-			times = append(times, e.at)
-		}
+	times := make([]Time, len(k.fel.ev))
+	for i, e := range k.fel.ev {
+		times[i] = e.at
 	}
 	sortTimes(times)
 	if len(times) > n {

@@ -85,34 +85,6 @@ func TestClockAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	e := k.Schedule(5, func() { fired = true })
-	k.Cancel(e)
-	k.Run(10)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	k.Cancel(e) // repeat must not panic
-	k.Cancel(nil)
-}
-
-func TestCancelFromInsideEvent(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	var victim *Event
-	k.Schedule(1, func() { k.Cancel(victim) })
-	victim = k.Schedule(2, func() { fired = true })
-	k.Run(10)
-	if fired {
-		t.Fatal("event cancelled from another event still fired")
-	}
-}
-
 func TestStopFromEvent(t *testing.T) {
 	k := NewKernel()
 	count := 0
@@ -203,11 +175,20 @@ func TestStepDrainsInOrder(t *testing.T) {
 
 func TestPendingCountsLiveEvents(t *testing.T) {
 	k := NewKernel()
-	e1 := k.Schedule(1, func() {})
+	k.Schedule(1, func() {})
 	k.Schedule(2, func() {})
-	k.Cancel(e1)
+	k.Every(5, func() {})
+	if got := k.Pending(); got != 3 {
+		t.Fatalf("Pending() = %d after three schedules, want 3", got)
+	}
+	k.Run(1)
+	if got := k.Pending(); got != 2 {
+		t.Fatalf("Pending() = %d after one fired, want 2", got)
+	}
+	// The one-shots are gone; the ticker always keeps its next tick armed.
+	k.Run(20)
 	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
+		t.Fatalf("Pending() = %d with only the ticker left, want 1", got)
 	}
 }
 
@@ -222,7 +203,7 @@ func TestRunAll(t *testing.T) {
 }
 
 // Property: any batch of events fires in nondecreasing time order, and
-// every non-cancelled event within the horizon fires exactly once.
+// every event within the horizon fires exactly once.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		k := NewKernel()

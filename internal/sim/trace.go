@@ -54,9 +54,9 @@ func (t *Tracer) Trace(kind, detail string) {
 	defer t.mu.Unlock()
 	t.counts[kind]++
 	if len(t.events) >= t.limit {
-		// Drop the oldest half rather than shifting one by one.
-		copy(t.events, t.events[len(t.events)/2:])
-		t.events = t.events[:len(t.events)-len(t.events)/2]
+		// Drop the oldest half, rounded up so the append below never
+		// exceeds the limit, rather than shifting one by one.
+		t.events = t.events[:copy(t.events, t.events[(len(t.events)+1)/2:])]
 	}
 	t.events = append(t.events, TraceEvent{At: t.k.Now(), Kind: kind, Detail: detail})
 }

@@ -41,16 +41,18 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestTracerLimit(t *testing.T) {
-	k := NewKernel()
-	tr := NewTracer(k, 10)
-	for i := 0; i < 100; i++ {
-		tr.Trace("tick", "")
-	}
-	if got := len(tr.Events()); got > 10 {
-		t.Fatalf("retained %d events over limit 10", got)
-	}
-	if tr.Count("tick") != 100 {
-		t.Fatalf("count = %d, want 100 (counts survive eviction)", tr.Count("tick"))
+	for _, limit := range []int{10, 1} {
+		k := NewKernel()
+		tr := NewTracer(k, limit)
+		for i := 0; i < 100; i++ {
+			tr.Trace("tick", "")
+		}
+		if got := len(tr.Events()); got > limit {
+			t.Fatalf("retained %d events over limit %d", got, limit)
+		}
+		if tr.Count("tick") != 100 {
+			t.Fatalf("limit %d: count = %d, want 100 (counts survive eviction)", limit, tr.Count("tick"))
+		}
 	}
 }
 

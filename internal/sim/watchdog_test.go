@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,11 +24,14 @@ func TestWatchdogStopsZeroDelayLoop(t *testing.T) {
 	}
 	// The offending event stays pending (visible to diagnostics) and is
 	// not counted as processed.
-	if k.Pending() == 0 {
-		t.Fatal("stall consumed the pending offender")
+	if n != 99 {
+		t.Fatalf("processed %d events before stalling, want StallEvents-1 = 99", n)
 	}
-	if n > 101 {
-		t.Fatalf("processed %d events before stalling, want <= StallEvents+1", n)
+	if got := k.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after the stall, want the one offender", got)
+	}
+	if got := k.NextEventTimes(3); !reflect.DeepEqual(got, []Time{5}) {
+		t.Fatalf("NextEventTimes(3) = %v after the stall, want [5]", got)
 	}
 	err := k.Err()
 	if err == nil {
