@@ -226,12 +226,24 @@ func (e *Engine) UseJobs(jobs []*workload.Job) error {
 		if j == nil {
 			return fmt.Errorf("grid: nil job at %d", i)
 		}
+		if !finite(float64(j.Arrival)) {
+			return fmt.Errorf("grid: job %d has non-finite arrival %v", j.ID, j.Arrival)
+		}
+		if j.Arrival < 0 {
+			return fmt.Errorf("grid: job %d arrives at negative time %v", j.ID, j.Arrival)
+		}
 		if j.Arrival < last {
 			return fmt.Errorf("grid: job %d arrives out of order", j.ID)
 		}
 		last = j.Arrival
+		if !finite(j.Runtime) {
+			return fmt.Errorf("grid: job %d has non-finite runtime %v", j.ID, j.Runtime)
+		}
 		if j.Runtime <= 0 {
 			return fmt.Errorf("grid: job %d has non-positive runtime", j.ID)
+		}
+		if !finite(j.Benefit) {
+			return fmt.Errorf("grid: job %d has non-finite benefit %v", j.ID, j.Benefit)
 		}
 		if j.Cluster < 0 {
 			return fmt.Errorf("grid: job %d targets negative cluster", j.ID)

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"rmscale/internal/workload"
@@ -67,6 +69,42 @@ func TestUseJobsValidation(t *testing.T) {
 	jobs[0].Runtime = 0
 	if err := mk().UseJobs(jobs); err == nil {
 		t.Error("zero runtime accepted")
+	}
+}
+
+// Non-finite job fields would poison the kernel clock (a NaN arrival)
+// or the metrics (a NaN runtime passes a plain <= 0 check), and a
+// negative first arrival is not an ordering problem, so each gets its
+// own error.
+func TestUseJobsRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(j *workload.Job)
+		want string
+	}{
+		{"NaN arrival", func(j *workload.Job) { j.Arrival = nan }, "non-finite arrival"},
+		{"+Inf arrival", func(j *workload.Job) { j.Arrival = inf }, "non-finite arrival"},
+		{"-Inf arrival", func(j *workload.Job) { j.Arrival = -inf }, "non-finite arrival"},
+		{"negative arrival", func(j *workload.Job) { j.Arrival = -5 }, "negative time"},
+		{"NaN runtime", func(j *workload.Job) { j.Runtime = nan }, "non-finite runtime"},
+		{"+Inf runtime", func(j *workload.Job) { j.Runtime = inf }, "non-finite runtime"},
+		{"NaN benefit", func(j *workload.Job) { j.Benefit = nan }, "non-finite benefit"},
+		{"-Inf benefit", func(j *workload.Job) { j.Benefit = -inf }, "non-finite benefit"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := New(testConfig(), &stubPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := traceJobs(3, 4)
+			c.edit(jobs[0])
+			err = e.UseJobs(jobs)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("UseJobs error = %v, want one mentioning %q", err, c.want)
+			}
+		})
 	}
 }
 

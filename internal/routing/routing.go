@@ -144,8 +144,10 @@ func onPathTo(t *Table, g *topology.Graph, via, dst int) bool {
 // actually communicates between. Entry [i][j] describes the route from
 // node ids[i] to node ids[j].
 type Matrix struct {
-	// Index maps graph node id -> row/column in the matrix.
-	Index map[int]int
+	// Index maps graph node id -> row/column in the matrix: it is
+	// dense over the graph's nodes (length g.N), holding -1 for a node
+	// that is not an endpoint, so a lookup is one slice load.
+	Index []int32
 	// IDs lists graph node ids in matrix order.
 	IDs       []int
 	Latency   [][]float64
@@ -158,13 +160,16 @@ type Matrix struct {
 // the grid's schedulers+resources+estimators is far cheaper than a full
 // all-nodes product on large router graphs.
 func AllPairs(g *topology.Graph, endpoints []int) (*Matrix, error) {
-	m := &Matrix{Index: make(map[int]int)}
+	m := &Matrix{Index: make([]int32, g.N)}
+	for i := range m.Index {
+		m.Index[i] = -1
+	}
 	for _, u := range endpoints {
 		if u < 0 || u >= g.N {
 			return nil, fmt.Errorf("routing: endpoint %d out of range", u)
 		}
-		if _, dup := m.Index[u]; !dup {
-			m.Index[u] = len(m.IDs)
+		if m.Index[u] < 0 {
+			m.Index[u] = int32(len(m.IDs))
 			m.IDs = append(m.IDs, u)
 		}
 	}
@@ -197,17 +202,25 @@ func AllPairs(g *topology.Graph, endpoints []int) (*Matrix, error) {
 // Between returns latency, hops and bottleneck bandwidth from node u to
 // node v. Both must have been endpoints passed to AllPairs.
 func (m *Matrix) Between(u, v int) (latency float64, hops int, bandwidth float64, err error) {
-	i, ok := m.Index[u]
-	if !ok {
+	i, j := m.index(u), m.index(v)
+	if i < 0 {
 		//lint:allow hotalloc misrouted-endpoint error path; a correctly built topology never takes it
 		return 0, 0, 0, fmt.Errorf("routing: node %d not an endpoint", u)
 	}
-	j, ok := m.Index[v]
-	if !ok {
+	if j < 0 {
 		//lint:allow hotalloc misrouted-endpoint error path; a correctly built topology never takes it
 		return 0, 0, 0, fmt.Errorf("routing: node %d not an endpoint", v)
 	}
 	return m.Latency[i][j], m.Hops[i][j], m.Bandwidth[i][j], nil
+}
+
+// index returns node u's matrix row/column, or -1 when u is not an
+// endpoint (including ids outside the graph).
+func (m *Matrix) index(u int) int32 {
+	if u < 0 || u >= len(m.Index) {
+		return -1
+	}
+	return m.Index[u]
 }
 
 // nodeItem is one Dijkstra priority-queue entry.

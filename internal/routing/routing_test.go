@@ -170,6 +170,15 @@ func TestAllPairs(t *testing.T) {
 	if _, _, _, err := m.Between(2, 0); err == nil {
 		t.Fatal("non-endpoint accepted")
 	}
+	// Ids outside the graph are non-endpoints too, not index panics.
+	for _, u := range []int{-1, 6, 1 << 20} {
+		if _, _, _, err := m.Between(u, 0); err == nil {
+			t.Fatalf("node %d accepted as an endpoint", u)
+		}
+		if _, _, _, err := m.Between(0, u); err == nil {
+			t.Fatalf("node %d accepted as an endpoint", u)
+		}
+	}
 }
 
 func TestAllPairsBadEndpoint(t *testing.T) {

@@ -76,11 +76,13 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 func (k *Kernel) Pending() int { return len(k.fel.ev) }
 
 // Schedule arranges for fn to run at absolute simulated time at.
-// Scheduling in the past panics: it is always a model bug.
+// Scheduling in the past panics: it is always a model bug. So does a
+// NaN time, which compares false against everything and would break
+// the FEL's total order (the clock could then run backwards).
 //
 //lint:hotpath kernel/steady gates Schedule at zero allocations per event in steady state
 func (k *Kernel) Schedule(at Time, fn func()) {
-	if at < k.now {
+	if !(at >= k.now) {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,41 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	k.Schedule(5, func() {})
+}
+
+// A NaN time compares false against everything, so a "before now"
+// check written as at < now lets it into the FEL, where it breaks the
+// heap order: scheduling {3, NaN, 1, 2, 0.5, 4} used to fire 0.5, 4,
+// 1, 2, 3, NaN, running the clock backwards. Both entry points must
+// reject it, and the events already scheduled must still fire in order.
+func TestScheduleNaNPanics(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	for _, at := range []Time{3, 1, 2, 0.5, 4} {
+		at := at
+		k.Schedule(at, func() { fired = append(fired, at) })
+	}
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"Schedule", func() { k.Schedule(Time(math.NaN()), func() {}) }},
+		{"After", func() { k.After(Time(math.NaN()), func() {}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", c.name)
+				}
+			}()
+			c.schedule()
+		}()
+	}
+	k.RunAll()
+	want := []Time{0.5, 1, 2, 3, 4}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
