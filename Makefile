@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint depscheck test race fuzz bench benchcheck gobench chaos chaos-service crashtest loadtest
+.PHONY: check build fmt vet lint depscheck test benchtest race fuzz bench benchcheck gobench chaos chaos-service crashtest loadtest
 
 # The gate CI runs: gofmt + vet + stdlib-only dependency check +
-# determinism lint + full test suite + race + the fixed-seed chaos
-# sweep + the service chaos harness + the crash-consistency enumeration
-# + the rmscaled load smoke.
-check: fmt vet depscheck lint test race chaos chaos-service crashtest loadtest
+# determinism lint + full test suite + the benchmark module's tests +
+# race + the fixed-seed chaos sweep + the service chaos harness + the
+# crash-consistency enumeration + the rmscaled load smoke.
+check: fmt vet depscheck lint test benchtest race chaos chaos-service crashtest loadtest
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,13 @@ depscheck:
 
 test: build
 	$(GO) test ./...
+
+# The benchmark (rmsbench/) is its own module, so `go test ./...` from
+# the root never reaches its tests. Run them in the environment
+# rmsbench/run.sh builds the benchmark in: a private build cache under
+# .bench_build/, the local toolchain and no module downloads.
+benchtest:
+	GOCACHE="$(CURDIR)/.bench_build/gocache" GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOWORK=off $(GO) -C rmsbench test .
 
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise

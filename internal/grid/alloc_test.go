@@ -5,14 +5,17 @@ import (
 )
 
 // Allocation budget for the engine's protocol loops. The kernel itself
-// is allocation-free in steady state (internal/sim's alloc tests); what
-// remains per event here is the engine layer — deferred-delivery
-// closures, job envelopes, policy hooks; status ticks and the
-// scheduler and estimator work queues add nothing per item. This pins
-// that remainder to a fixed per-event budget so map churn or
-// per-message slice allocations creeping back into the
-// scheduler/estimator/update paths fail the suite on any machine,
-// without a benchmark diff.
+// is allocation-free in steady state (internal/sim's alloc tests), and
+// so is the engine's message fabric: status ticks, pooled delivery
+// records and the data-carrying scheduler and estimator work items add
+// nothing per message. What remains per event here is per job (the
+// arrival, the envelope, its execution record and completion) and per
+// digest flush (the snapshot arrays). This pins that remainder to a
+// fixed per-event budget so closures, map churn or per-message slice
+// allocations creeping back into the scheduler/estimator/update paths
+// fail the suite on any machine, without a benchmark diff. Measured:
+// 0.98 (direct updates) and 0.20 (estimator digests) per event, down
+// from 1.42 and 1.07 with a closure per message.
 
 func runAllocProbe(t *testing.T, estimators int) (perEvent float64) {
 	t.Helper()
@@ -35,14 +38,14 @@ func runAllocProbe(t *testing.T, estimators int) (perEvent float64) {
 }
 
 func TestEngineAllocBudgetDirectUpdates(t *testing.T) {
-	const budget = 2.0
+	const budget = 1.05
 	if per := runAllocProbe(t, 0); per > budget {
 		t.Errorf("direct-update engine run allocates %.2f/event, budget %.2f", per, budget)
 	}
 }
 
 func TestEngineAllocBudgetEstimatorDigests(t *testing.T) {
-	const budget = 2.0
+	const budget = 0.25
 	if per := runAllocProbe(t, 4); per > budget {
 		t.Errorf("estimator-digest engine run allocates %.2f/event, budget %.2f", per, budget)
 	}

@@ -1,12 +1,43 @@
 package grid
 
+// workKind says what a CPU work item does when it retires. Every kind
+// but workFn carries its data in the item's typed fields, so the engine
+// queues its own work without allocating a closure; workFn runs the
+// caller's fn and backs the policy-facing Exec/ExecDecision.
+type workKind uint8
+
+const (
+	workFn workKind = iota // run fn
+
+	// Scheduler work.
+	workStatus   // merge one direct status update (status), then OnStatus
+	workDigest   // merge a digest share (d), then OnStatus with its ids
+	workSend     // put a policy message on the wire: deliverPolicy(to, tag, payload)
+	workTransfer // put a job envelope on the wire: transferJob(ctx, to)
+	workMsg      // hand an arrived protocol message (msg) to OnMessage
+	workJob      // hand a transferred job envelope (ctx) to OnJob
+	workDecide   // DispatchLeastLoaded's decision for ctx
+
+	// Estimator work.
+	workIngest    // buffer one status update (status)
+	workBroadcast // fan a flushed digest (d) out to every scheduler
+)
+
 // workItem is one unit of work a scheduler or estimator CPU accepted:
-// the callback to run when it retires and the crash epoch it was
-// accepted under. Work whose epoch is stale when it retires died with a
-// crash and is dropped.
+// what to do when it retires, the data to do it with, and the crash
+// epoch it was accepted under. Work whose epoch is stale when it
+// retires died with a crash and is dropped.
 type workItem struct {
-	fn    func()
+	kind  workKind
 	epoch int
+
+	fn      func()     // workFn
+	ctx     *JobCtx    // workTransfer, workJob, workDecide
+	msg     *Message   // workMsg
+	payload any        // workSend
+	to, tag int        // workSend (tag is the message kind), workTransfer
+	status  statusItem // workStatus, workIngest
+	d       digest     // workDigest (one cluster's share), workBroadcast
 }
 
 // workQueue is the FIFO of a node's accepted, not yet retired CPU work.
@@ -38,14 +69,12 @@ func (q *workQueue) push(w workItem) {
 	q.items = append(q.items, w)
 }
 
-// retire removes the head and runs it unless a crash moved the node
-// past the epoch it was accepted under. The caller must know the queue
-// is non-empty.
-func (q *workQueue) retire(epoch int) {
+// pop removes and returns the head, reporting whether it is still live:
+// false when a crash moved the node past the epoch it was accepted
+// under. The caller must know the queue is non-empty.
+func (q *workQueue) pop(epoch int) (workItem, bool) {
 	w := q.items[q.head]
-	q.items[q.head] = workItem{} // drop the closure so the queue never pins model state
+	q.items[q.head] = workItem{} // drop the references so the queue never pins model state
 	q.head++
-	if w.epoch == epoch {
-		w.fn()
-	}
+	return w, w.epoch == epoch
 }

@@ -59,6 +59,9 @@ type Engine struct {
 	// uses for it (see Scheduler.views).
 	localIdx []int
 
+	// free is the pool of idle delivery records (see fabric.go).
+	free []*delivery
+
 	unfinished int // jobs dropped or stranded
 }
 
@@ -379,7 +382,7 @@ func (e *Engine) delay(from, to int, size float64) sim.Time {
 // sendStatusUpdate routes one resource status update to its estimator
 // (when the estimator layer exists) or directly to its scheduler.
 //
-//lint:hotpath every sent status update crosses this fabric; engine/*/allocs_per_event budgets its delivery closure and queued work item
+//lint:hotpath every sent status update crosses this fabric; engine/*/allocs_per_event budgets it
 func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	if e.Cfg.Faults.UpdateLossProb > 0 && e.faults.Bool(e.Cfg.Faults.UpdateLossProb) {
 		e.Metrics.UpdatesLost++
@@ -389,14 +392,13 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	if e.Tracer.On() {
 		e.Tracer.Tracef("update", "resource %d load %.0f", r.id, load)
 	}
-	at := e.K.Now()
+	st := statusItem{rid: r.id, load: load, at: e.K.Now()}
 	if len(e.Estimators) > 0 {
 		est := e.Estimators[r.id%len(e.Estimators)]
 		if e.fs == nil || !est.down {
-			//lint:allow hotalloc the in-flight delivery closure is the update's budgeted allocation (engine allocs_per_event gate)
-			e.K.After(e.delay(r.node, est.node, e.Cfg.UpdateBytes), func() {
-				est.receive(r.id, load, at)
-			})
+			d := e.newDelivery(dlvIngest)
+			d.est, d.status = est, st
+			e.K.After(e.delay(r.node, est.node, e.Cfg.UpdateBytes), d.fireFn)
 			return
 		}
 		// Estimator death falls back to a direct scheduler update.
@@ -407,19 +409,9 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 		e.Metrics.UpdatesLost++
 		return
 	}
-	//lint:allow hotalloc the in-flight delivery closure is the update's first budgeted allocation (engine allocs_per_event gate)
-	e.K.After(e.delay(r.node, s.node, e.Cfg.UpdateBytes), func() {
-		c := e.Cfg.Costs
-		//lint:allow hotalloc the queued work item is the update's second budgeted allocation (engine allocs_per_event gate)
-		s.Exec(c.UpdateBatchBase+c.UpdatePer, func() {
-			s.mergeView(r.id, load, at)
-			// oneRid is per-scheduler scratch; Exec retires work FCFS on
-			// one CPU, so the slot is free again by the time the policy
-			// returns and it never escapes the call.
-			s.oneRid[0] = r.id
-			e.policy.OnStatus(s, s.oneRid[:])
-		})
-	})
+	d := e.newDelivery(dlvStatus)
+	d.sched, d.status = s, st
+	e.K.After(e.delay(r.node, s.node, e.Cfg.UpdateBytes), d.fireFn)
 }
 
 // broadcastDigest distributes an estimator digest to every scheduler.
@@ -429,7 +421,7 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 // what couples their overhead to the estimator count.
 //
 //lint:hotpath digest fan-out runs once per estimator period per scheduler; engine/*/allocs_per_event budgets it
-func (e *Engine) broadcastDigest(est *Estimator, d digest) {
+func (e *Engine) broadcastDigest(est *Estimator, dg digest) {
 	for _, s := range e.Schedulers {
 		if e.fs != nil && s.down {
 			e.Metrics.UpdatesLost++
@@ -440,22 +432,12 @@ func (e *Engine) broadcastDigest(est *Estimator, d digest) {
 			continue
 		}
 		e.Metrics.DigestsSent++
-		s := s
 		// The digest is pre-partitioned by cluster (see Estimator.flush),
-		// so a delivery slices its receiver's share out of the shared
+		// so a delivery carries its receiver's share of the shared
 		// snapshot instead of filtering and copying the whole batch.
-		own, rids := d.cluster(s.cluster)
-		//lint:allow hotalloc one delivery closure per receiving scheduler per digest period; the digest gate budgets it
-		e.K.After(e.delay(est.node, s.node, e.Cfg.UpdateBytes*float64(d.total())), func() {
-			c := e.Cfg.Costs
-			//lint:allow hotalloc the queued batch-merge work item; the digest gate budgets it
-			s.Exec(c.UpdateBatchBase+c.UpdatePer*float64(len(own)), func() {
-				for i := range own {
-					s.mergeView(own[i].rid, own[i].load, own[i].at)
-				}
-				e.policy.OnStatus(s, rids)
-			})
-		})
+		d := e.newDelivery(dlvDigest)
+		d.sched, d.d = s, dg.cluster(s.cluster)
+		e.K.After(e.delay(est.node, s.node, e.Cfg.UpdateBytes*float64(dg.total())), d.fireFn)
 	}
 }
 
@@ -463,8 +445,7 @@ func (e *Engine) broadcastDigest(est *Estimator, d digest) {
 // middleware queue when the policy uses one. The receiver pays a
 // Message cost before the policy handler runs. With protocol faults
 // armed the message rides the timeout/retry path; one that exhausts its
-// budget is simply gone — the session it belonged to stalls, exactly
-// the degradation the churn experiment measures.
+// budget is simply gone (see delivery.abandon).
 //
 //lint:hotpath every protocol message of every RMS model rides this path; engine/*/allocs_per_event budgets it
 func (e *Engine) deliverPolicy(from *Scheduler, to int, kind int, payload any) {
@@ -474,30 +455,18 @@ func (e *Engine) deliverPolicy(from *Scheduler, to int, kind int, payload any) {
 	}
 	e.Metrics.PolicyMsgs++
 	dst := e.Schedulers[to]
+	d := e.newDelivery(dlvMessage)
 	//lint:allow hotalloc the Message IS the protocol message; one per send is the model's own unit of work
-	m := &Message{Kind: kind, From: from.cluster, To: to, Payload: payload}
-	net := e.delay(from.node, dst.node, e.Cfg.MsgBytes)
-	//lint:allow hotalloc the in-flight delivery closure is the message's first budgeted allocation (engine allocs_per_event gate)
-	deliver := func() {
-		//lint:allow hotalloc the queued handler work item is the message's second budgeted allocation (engine allocs_per_event gate)
-		dst.ExecMsg(func() { e.policy.OnMessage(dst, m) })
-	}
-	if e.fs != nil {
-		e.protoSend(from.node, dst, net, 0, deliver, nil)
-		return
-	}
-	if e.mw != nil {
-		e.mw.enqueue(net, deliver)
-		return
-	}
-	e.K.After(net, deliver)
+	d.msg = &Message{Kind: kind, From: from.cluster, To: to, Payload: payload}
+	d.sched, d.from = dst, from
+	d.net = e.delay(from.node, dst.node, e.Cfg.MsgBytes)
+	e.send(d)
 }
 
 // transferJob moves a job envelope to another cluster's scheduler; it
 // re-enters the policy as OnJob with Hops incremented. Under faults the
 // transfer retries like any protocol message, and one that exhausts its
-// budget bounces back to the sender — a job envelope is never lost to
-// the network.
+// budget bounces back to the sender (see delivery.abandon).
 //
 //lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event budgets them
 func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
@@ -517,29 +486,10 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)
 	}
 	dst := e.Schedulers[to]
-	net := e.delay(from.node, dst.node, e.Cfg.JobBytes)
-	if e.fs != nil {
-		//lint:allow hotalloc the in-flight transfer closure is the envelope's budgeted allocation (engine allocs_per_event gate)
-		deliver := func() {
-			dst.own(ctx)
-			//lint:allow hotalloc the queued handler work item; the transfer gate budgets it
-			dst.ExecMsg(func() { e.policy.OnJob(dst, ctx) })
-		}
-		//lint:allow hotalloc abandon fires only after the retry budget is exhausted — fault path, not steady state
-		abandon := func() { e.deliverToScheduler(from, ctx) }
-		e.protoSend(from.node, dst, net, 0, deliver, abandon)
-		return
-	}
-	//lint:allow hotalloc the in-flight transfer closure is the envelope's budgeted allocation (engine allocs_per_event gate)
-	deliver := func() {
-		//lint:allow hotalloc the queued handler work item; the transfer gate budgets it
-		dst.ExecMsg(func() { e.policy.OnJob(dst, ctx) })
-	}
-	if e.mw != nil {
-		e.mw.enqueue(net, deliver)
-		return
-	}
-	e.K.After(net, deliver)
+	d := e.newDelivery(dlvTransfer)
+	d.sched, d.ctx, d.from = dst, ctx, from
+	d.net = e.delay(from.node, dst.node, e.Cfg.JobBytes)
+	e.send(d)
 }
 
 // sendJobToResource carries a dispatched job to its resource.
@@ -550,10 +500,9 @@ func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	if e.Tracer.On() {
 		e.Tracer.Tracef("dispatch", "job %d -> resource %d", ctx.Job.ID, rid)
 	}
-	//lint:allow hotalloc the in-flight dispatch closure is the hop's budgeted allocation (engine allocs_per_event gate)
-	e.K.After(e.delay(s.node, r.node, e.Cfg.JobBytes), func() {
-		r.enqueue(ctx)
-	})
+	d := e.newDelivery(dlvDispatch)
+	d.res, d.ctx = r, ctx
+	e.K.After(e.delay(s.node, r.node, e.Cfg.JobBytes), d.fireFn)
 }
 
 // bounce returns a job whose resource was down to its current cluster's
@@ -580,35 +529,4 @@ func (e *Engine) bounce(ctx *JobCtx) {
 func (e *Engine) dropJob(ctx *JobCtx) {
 	e.Metrics.JobsLost++
 	e.jobTerminated(ctx.Job.ID)
-}
-
-// middleware is the grid middleware of the S-I family: a single FIFO
-// queue with infinite capacity and a small, finite service time that
-// every inter-scheduler message passes through.
-type middleware struct {
-	eng       *Engine
-	busyUntil sim.Time
-}
-
-// enqueue routes a message through the middleware: network delay to the
-// middleware, FIFO service, then delivery.
-//
-//lint:hotpath the S-I family funnels every message through this queue; engine/S-I/allocs_per_event budgets it
-func (mw *middleware) enqueue(netDelay sim.Time, deliver func()) {
-	k := mw.eng.K
-	arrive := k.Now() + netDelay/2
-	//lint:allow hotalloc the middleware arrival closure; the S-I family's allocs_per_event gate budgets the extra hop
-	k.Schedule(arrive, func() {
-		start := mw.busyUntil
-		if start < k.Now() {
-			start = k.Now()
-		}
-		finish := start + mw.eng.Cfg.Protocol.MiddlewareTime
-		mw.busyUntil = finish
-		mw.eng.Metrics.MiddlewareBusy += mw.eng.Cfg.Protocol.MiddlewareTime
-		//lint:allow hotalloc the middleware service-completion closure; the S-I family's allocs_per_event gate budgets it
-		k.Schedule(finish, func() {
-			k.After(netDelay/2, deliver)
-		})
-	})
 }

@@ -465,15 +465,23 @@ func TestMiddlewareQueueing(t *testing.T) {
 	if e.mw == nil {
 		t.Fatal("middleware not created")
 	}
-	// Two messages back to back: the second is delayed by service.
-	var arrivals []float64
-	e.mw.enqueue(0, func() { arrivals = append(arrivals, e.K.Now()) })
-	e.mw.enqueue(0, func() { arrivals = append(arrivals, e.K.Now()) })
-	e.K.Run(100)
-	if len(arrivals) != 2 {
-		t.Fatalf("deliveries = %d", len(arrivals))
-	}
+	// Two zero-delay dispatches back to back, to two idle resources:
+	// the second lands one service time after the first, and each
+	// resource starts its job the moment it lands.
 	st := cfg.Protocol.MiddlewareTime
+	for i, j := range traceJobs(2, 1) {
+		d := e.newDelivery(dlvDispatch)
+		d.res, d.ctx = e.Resources[i], &JobCtx{Job: j}
+		e.mw.enqueue(d)
+	}
+	e.K.Run(2 * st)
+	var arrivals []float64
+	for _, r := range e.Resources[:2] {
+		if r.running == nil {
+			t.Fatalf("resource %d never received its job", r.id)
+		}
+		arrivals = append(arrivals, float64(r.running.start))
+	}
 	if arrivals[0] != st || arrivals[1] != 2*st {
 		t.Fatalf("middleware did not serialize: %v (service %v)", arrivals, st)
 	}

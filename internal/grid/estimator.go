@@ -4,7 +4,9 @@ import (
 	"rmscale/internal/sim"
 )
 
-// statusItem is one buffered update inside an estimator.
+// statusItem is one resource status update: the resource, its load and
+// the time the resource sent it. Estimators buffer and digest them;
+// deliveries and work items carry them by value.
 type statusItem struct {
 	rid  int
 	load float64
@@ -49,7 +51,7 @@ func (e *Estimator) Node() int { return e.node }
 // exec serializes work through the estimator CPU, charging G. A dead
 // estimator retires no work, and work queued before a crash dies with
 // it (the epoch check in retireNext).
-func (e *Estimator) exec(cost float64, fn func()) {
+func (e *Estimator) exec(cost float64, w workItem) {
 	if e.down {
 		return
 	}
@@ -62,12 +64,28 @@ func (e *Estimator) exec(cost float64, fn func()) {
 	}
 	finish := start + busy
 	e.busyUntil = finish
-	e.work.push(workItem{fn: fn, epoch: e.epoch})
+	w.epoch = e.epoch
+	e.work.push(w)
 	e.eng.K.Schedule(finish, e.retire)
 }
 
-// retireNext retires the oldest accepted work item.
-func (e *Estimator) retireNext() { e.work.retire(e.epoch) }
+// retireNext retires the oldest accepted work item: an ingested update
+// joins its cluster's buffer, a flushed digest fans out.
+//
+//lint:hotpath every status update the estimator layer ingests retires here; engine/*/allocs_per_event budgets it
+func (e *Estimator) retireNext() {
+	w, live := e.work.pop(e.epoch)
+	if !live {
+		return
+	}
+	switch w.kind {
+	case workIngest:
+		c := e.eng.Map.ResourceCluster[w.status.rid]
+		e.buffer[c] = append(e.buffer[c], w.status)
+	case workBroadcast:
+		e.eng.broadcastDigest(e, w.d)
+	}
+}
 
 // QueueDelay reports how far behind the estimator's CPU currently is.
 func (e *Estimator) QueueDelay() sim.Time {
@@ -78,21 +96,13 @@ func (e *Estimator) QueueDelay() sim.Time {
 	return d
 }
 
-// receive ingests one resource update.
-func (e *Estimator) receive(rid int, load float64, at sim.Time) {
-	//lint:allow hotalloc the ingest work closure is the update's budgeted allocation on the estimator hop (engine allocs_per_event gate)
-	e.exec(e.eng.Cfg.Costs.EstimatorPer, func() {
-		cluster := e.eng.Map.ResourceCluster[rid]
-		e.buffer[cluster] = append(e.buffer[cluster], statusItem{rid: rid, load: load, at: at})
-	})
-}
-
 // digest is one estimator flush, partitioned by destination cluster:
 // parts[offs[c]:offs[c+1]] are cluster c's items sorted by (rid, time),
 // and rids mirrors parts entry-for-entry so a delivery can hand the
 // policy its OnStatus id list without building one. The whole digest is
-// one immutable snapshot shared by every scheduler's delivery closure;
-// receivers read it, never mutate it.
+// one immutable snapshot shared by every scheduler's delivery; receivers
+// read it, never mutate it. One cluster's share of it is itself a
+// digest with a single partition (parts and rids only, offs nil).
 type digest struct {
 	parts []statusItem
 	offs  []int
@@ -102,10 +112,11 @@ type digest struct {
 // total returns the number of status items across all clusters.
 func (d digest) total() int { return len(d.parts) }
 
-// cluster returns cluster c's partition and the matching resource ids.
-func (d digest) cluster(c int) ([]statusItem, []int) {
+// cluster returns cluster c's share: its partition and the matching
+// resource ids.
+func (d digest) cluster(c int) digest {
 	lo, hi := d.offs[c], d.offs[c+1]
-	return d.parts[lo:hi], d.rids[lo:hi]
+	return digest{parts: d.parts[lo:hi], rids: d.rids[lo:hi]}
 }
 
 // flush distributes the buffered status to the scheduling decision
@@ -115,11 +126,11 @@ func (d digest) cluster(c int) ([]statusItem, []int) {
 // scheduling decision makers" — and it is why scaling up the estimator
 // layer multiplies the digest traffic every scheduler must process.
 //
-// The buffered items are snapshotted into one freshly allocated backing
-// array per flush (cluster by cluster, each partition sorted). Fresh,
+// The buffered items are snapshotted into freshly allocated backing
+// arrays per flush (cluster by cluster, each partition sorted). Fresh,
 // not scratch: the broadcast and the per-scheduler deliveries run at
 // later simulated times, and under estimator saturation a delivery
-// closure can outlive the next flush, so reusing a buffer here would
+// can outlive the next flush, so reusing a buffer here would
 // corrupt an in-flight digest. Per-cluster sorting yields exactly the
 // items a global (rid, time) sort would hand each cluster, because a
 // resource id maps to a single cluster.
@@ -132,15 +143,18 @@ func (e *Estimator) flush() {
 		total += len(items)
 	}
 	parts := make([]statusItem, 0, total)
-	offs := make([]int, 0, len(e.buffer)+1)
+	// offs and rids share one backing array: two allocations per flush
+	// instead of three.
+	nc := len(e.buffer)
+	ints := make([]int, nc+1+total)
+	offs, rids := ints[:nc+1:nc+1], ints[nc+1:]
 	for c := range e.buffer {
 		sortStatusItems(e.buffer[c])
-		offs = append(offs, len(parts))
+		offs[c] = len(parts)
 		parts = append(parts, e.buffer[c]...)
 		e.buffer[c] = e.buffer[c][:0]
 	}
-	offs = append(offs, len(parts))
-	rids := make([]int, len(parts))
+	offs[nc] = len(parts)
 	for i := range parts {
 		rids[i] = parts[i].rid
 	}
@@ -148,9 +162,8 @@ func (e *Estimator) flush() {
 	// dissemination heartbeat every decision maker consumes, so the
 	// layer's traffic scales with the estimator count, not with the
 	// update volume.
-	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total), func() {
-		e.eng.broadcastDigest(e, digest{parts: parts, offs: offs, rids: rids})
-	})
+	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total),
+		workItem{kind: workBroadcast, d: digest{parts: parts, offs: offs, rids: rids}})
 }
 
 // sortStatusItems orders a digest partition by (resource id, time) so

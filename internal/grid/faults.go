@@ -228,15 +228,15 @@ func (e *Engine) repairEstimator(est *Estimator) {
 	}
 }
 
-// protoSend carries one protocol payload under the armed fault model.
+// protoSend carries one protocol record under the armed fault model.
 // The message can be lost in transit (random loss, or a severed access
-// link at either end) or arrive at a dead scheduler; each loss is
-// detected by a sender-side timeout and retransmitted with binary
-// backoff until the retry budget runs out, at which point abandon (when
-// non-nil) decides the payload's fate.
-func (e *Engine) protoSend(fromNode int, dst *Scheduler, net sim.Time, attempt int, deliver, abandon func()) {
+// link at either end) or arrive at a dead scheduler (delivery.fire);
+// each loss is detected by a sender-side timeout and retransmitted with
+// binary backoff until the retry budget runs out, at which point the
+// record is abandoned.
+func (e *Engine) protoSend(d *delivery) {
 	f := e.Cfg.Faults
-	lost := e.fs.outages.SeveredPath(fromNode, dst.node, e.K.Now())
+	lost := e.fs.outages.SeveredPath(d.from.node, d.sched.node, e.K.Now())
 	if !lost && e.fs.scriptedLoss(e.K.Now()) {
 		lost = true
 	}
@@ -245,41 +245,25 @@ func (e *Engine) protoSend(fromNode int, dst *Scheduler, net sim.Time, attempt i
 	}
 	if lost {
 		e.Metrics.MsgsLost++
-		e.retryOrAbandon(fromNode, dst, net, attempt, deliver, abandon)
+		e.retryOrAbandon(d)
 		return
 	}
-	//lint:allow hotalloc the liveness-checking wrapper exists only with protocol faults armed; the churn gate budgets it
-	wrapped := func() {
-		if dst.down {
-			e.Metrics.MsgsLost++
-			e.retryOrAbandon(fromNode, dst, net, attempt, deliver, abandon)
-			return
-		}
-		deliver()
-	}
-	if e.mw != nil {
-		e.mw.enqueue(net, wrapped)
-		return
-	}
-	e.K.After(net, wrapped)
+	e.route(d)
 }
 
 // retryOrAbandon retransmits a lost message after RetryTimeout*2^attempt,
 // or gives up once the budget is exhausted.
-func (e *Engine) retryOrAbandon(fromNode int, dst *Scheduler, net sim.Time, attempt int, deliver, abandon func()) {
-	if attempt >= e.Cfg.Faults.MaxRetries {
+func (e *Engine) retryOrAbandon(d *delivery) {
+	if d.attempt >= e.Cfg.Faults.MaxRetries {
 		e.Metrics.MsgsAbandoned++
-		if abandon != nil {
-			abandon()
-		}
+		d.abandon()
 		return
 	}
 	e.Metrics.MsgRetries++
-	backoff := e.Cfg.Faults.RetryTimeout * float64(uint(1)<<uint(attempt))
-	//lint:allow hotalloc retry fires only after a lost message — fault path, not steady state
-	e.K.After(backoff, func() {
-		e.protoSend(fromNode, dst, net, attempt+1, deliver, abandon)
-	})
+	backoff := e.Cfg.Faults.RetryTimeout * float64(uint(1)<<uint(d.attempt))
+	d.attempt++
+	d.stage = stageRetry
+	e.K.After(backoff, d.fireFn)
 }
 
 // own records that the scheduler is currently responsible for the job:

@@ -218,6 +218,12 @@ func (s *Scheduler) Utilization() float64 {
 // is committed work); queueing delay emerges from the busyUntil chain,
 // which is what saturates a central scheduler at scale.
 func (s *Scheduler) Exec(cost float64, fn func()) {
+	s.exec(cost, workItem{kind: workFn, fn: fn})
+}
+
+// exec is Exec for any work item: the engine queues its own work as
+// data-carrying items (see workKind), the policy's as workFn.
+func (s *Scheduler) exec(cost float64, w workItem) {
 	if cost < 0 {
 		//lint:allow hotalloc panic path: fires once on a caller bug, never in a measured run
 		panic("grid: negative exec cost")
@@ -225,7 +231,7 @@ func (s *Scheduler) Exec(cost float64, fn func()) {
 	if s.down {
 		// A dead scheduler retires no work; the message or decision
 		// evaporates. Jobs survive through ownership tracking, not
-		// through queued closures.
+		// through queued work.
 		return
 	}
 	busy := cost / s.eng.Cfg.Costs.SchedulerSpeed
@@ -241,13 +247,49 @@ func (s *Scheduler) Exec(cost float64, fn func()) {
 	s.busyUntil = finish
 	// Work queued before a crash dies with it: the item only runs while
 	// the epoch it was accepted under is still current.
-	s.work.push(workItem{fn: fn, epoch: s.epoch})
+	w.epoch = s.epoch
+	s.work.push(w)
 	s.eng.K.Schedule(finish, s.retire)
 }
 
 // retireNext retires the oldest accepted work item (see workQueue for
 // why the head is always the item whose finish time this is).
-func (s *Scheduler) retireNext() { s.work.retire(s.epoch) }
+//
+//lint:hotpath every status merge, digest share, protocol message and decision retires here; engine/*/allocs_per_event budgets it
+func (s *Scheduler) retireNext() {
+	w, live := s.work.pop(s.epoch)
+	if !live {
+		return
+	}
+	e := s.eng
+	switch w.kind {
+	case workFn:
+		w.fn()
+	case workStatus:
+		s.mergeView(w.status.rid, w.status.load, w.status.at)
+		// oneRid is per-scheduler scratch; work retires FCFS on one
+		// CPU, so the slot is free again by the time the policy returns
+		// and it never escapes the call.
+		s.oneRid[0] = w.status.rid
+		e.policy.OnStatus(s, s.oneRid[:])
+	case workDigest:
+		for i := range w.d.parts {
+			it := &w.d.parts[i]
+			s.mergeView(it.rid, it.load, it.at)
+		}
+		e.policy.OnStatus(s, w.d.rids)
+	case workSend:
+		e.deliverPolicy(s, w.to, w.tag, w.payload)
+	case workTransfer:
+		e.transferJob(s, w.ctx, w.to)
+	case workMsg:
+		e.policy.OnMessage(s, w.msg)
+	case workJob:
+		e.policy.OnJob(s, w.ctx)
+	case workDecide:
+		s.placeLeastLoaded(w.ctx)
+	}
+}
 
 // QueueDelay reports how far behind the scheduler's CPU currently is.
 func (s *Scheduler) QueueDelay() sim.Time {
@@ -287,16 +329,21 @@ func (s *Scheduler) Dispatch(ctx *JobCtx, rid int) {
 // DispatchLeastLoaded charges a full-cluster decision scan and sends the
 // job to the believed least loaded local resource.
 func (s *Scheduler) DispatchLeastLoaded(ctx *JobCtx) {
+	c := s.eng.Cfg.Costs
 	n := len(s.LocalResources())
-	s.ExecDecision(n, func() {
-		rid, _, ok := s.LeastLoadedLocal()
-		if !ok {
-			s.disown(ctx)
-			s.eng.dropJob(ctx)
-			return
-		}
-		s.Dispatch(ctx, rid)
-	})
+	s.exec(c.DecisionBase+c.DecisionPer*float64(n), workItem{kind: workDecide, ctx: ctx})
+}
+
+// placeLeastLoaded is DispatchLeastLoaded's decision, run when its scan
+// retires.
+func (s *Scheduler) placeLeastLoaded(ctx *JobCtx) {
+	rid, _, ok := s.LeastLoadedLocal()
+	if !ok {
+		s.disown(ctx)
+		s.eng.dropJob(ctx)
+		return
+	}
+	s.Dispatch(ctx, rid)
 }
 
 // SendPolicy sends a protocol message to another cluster's scheduler.
@@ -304,11 +351,11 @@ func (s *Scheduler) DispatchLeastLoaded(ctx *JobCtx) {
 // enters the network; the receive charges another Message cost before
 // the policy sees it.
 func (s *Scheduler) SendPolicy(to int, kind int, payload any) {
-	s.ExecMsg(func() { s.eng.deliverPolicy(s, to, kind, payload) })
+	s.exec(s.eng.Cfg.Costs.Message, workItem{kind: workSend, to: to, tag: kind, payload: payload})
 }
 
 // TransferJob moves the job to a remote cluster's scheduler; it arrives
 // as a policy OnJob call with Hops incremented.
 func (s *Scheduler) TransferJob(ctx *JobCtx, to int) {
-	s.ExecMsg(func() { s.eng.transferJob(s, ctx, to) })
+	s.exec(s.eng.Cfg.Costs.Message, workItem{kind: workTransfer, ctx: ctx, to: to})
 }
