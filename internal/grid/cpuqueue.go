@@ -59,22 +59,25 @@ type workQueue struct {
 // len returns the number of queued items.
 func (q *workQueue) len() int { return len(q.items) - q.head }
 
-// push appends w at the tail.
-func (q *workQueue) push(w workItem) {
+// push appends a copy of *w at the tail. Items are large, so they
+// travel by pointer and are copied once, into the queue.
+func (q *workQueue) push(w *workItem) {
 	if q.head > 0 && q.head >= q.len() {
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0
 	}
-	q.items = append(q.items, w)
+	q.items = append(q.items, *w)
 }
 
-// pop removes and returns the head, reporting whether it is still live:
-// false when a crash moved the node past the epoch it was accepted
-// under. The caller must know the queue is non-empty.
-func (q *workQueue) pop(epoch int) (workItem, bool) {
-	w := q.items[q.head]
-	q.items[q.head] = workItem{} // drop the references so the queue never pins model state
+// front returns the oldest item. The caller must know the queue is
+// non-empty, and must copy out what it needs and drop the item before
+// anything can push: a push may move the queue's items.
+func (q *workQueue) front() *workItem { return &q.items[q.head] }
+
+// drop removes the oldest item, clearing its slot so the queue never
+// pins model state.
+func (q *workQueue) drop() {
+	q.items[q.head] = workItem{}
 	q.head++
-	return w, w.epoch == epoch
 }

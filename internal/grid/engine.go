@@ -422,7 +422,14 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 //
 //lint:hotpath digest fan-out runs once per estimator period per scheduler; engine/*/allocs_per_event budgets it
 func (e *Engine) broadcastDigest(est *Estimator, dg digest) {
+	size := e.Cfg.UpdateBytes * float64(dg.total())
+	rest := dg
 	for _, s := range e.Schedulers {
+		// The digest is grouped by cluster (see Estimator.flush), so a
+		// delivery carries its receiver's share of the shared snapshot
+		// instead of filtering and copying the whole batch.
+		var share digest
+		share, rest = rest.split(e.Map.ResourceCluster, s.cluster)
 		if e.fs != nil && s.down {
 			e.Metrics.UpdatesLost++
 			continue
@@ -432,12 +439,9 @@ func (e *Engine) broadcastDigest(est *Estimator, dg digest) {
 			continue
 		}
 		e.Metrics.DigestsSent++
-		// The digest is pre-partitioned by cluster (see Estimator.flush),
-		// so a delivery carries its receiver's share of the shared
-		// snapshot instead of filtering and copying the whole batch.
 		d := e.newDelivery(dlvDigest)
-		d.sched, d.d = s, dg.cluster(s.cluster)
-		e.K.After(e.delay(est.node, s.node, e.Cfg.UpdateBytes*float64(dg.total())), d.fireFn)
+		d.sched, d.d = s, share
+		e.K.After(e.delay(est.node, s.node, size), d.fireFn)
 	}
 }
 

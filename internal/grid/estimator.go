@@ -51,7 +51,7 @@ func (e *Estimator) Node() int { return e.node }
 // exec serializes work through the estimator CPU, charging G. A dead
 // estimator retires no work, and work queued before a crash dies with
 // it (the epoch check in retireNext).
-func (e *Estimator) exec(cost float64, w workItem) {
+func (e *Estimator) exec(cost float64, w *workItem) {
 	if e.down {
 		return
 	}
@@ -74,16 +74,21 @@ func (e *Estimator) exec(cost float64, w workItem) {
 //
 //lint:hotpath every status update the estimator layer ingests retires here; engine/*/allocs_per_event budgets it
 func (e *Estimator) retireNext() {
-	w, live := e.work.pop(e.epoch)
-	if !live {
+	w := e.work.front()
+	if w.epoch != e.epoch {
+		e.work.drop()
 		return
 	}
 	switch w.kind {
 	case workIngest:
-		c := e.eng.Map.ResourceCluster[w.status.rid]
-		e.buffer[c] = append(e.buffer[c], w.status)
+		st := w.status
+		e.work.drop()
+		c := e.eng.Map.ResourceCluster[st.rid]
+		e.buffer[c] = append(e.buffer[c], st)
 	case workBroadcast:
-		e.eng.broadcastDigest(e, w.d)
+		dg := w.d
+		e.work.drop()
+		e.eng.broadcastDigest(e, dg)
 	}
 }
 
@@ -96,27 +101,31 @@ func (e *Estimator) QueueDelay() sim.Time {
 	return d
 }
 
-// digest is one estimator flush, partitioned by destination cluster:
-// parts[offs[c]:offs[c+1]] are cluster c's items sorted by (rid, time),
-// and rids mirrors parts entry-for-entry so a delivery can hand the
-// policy its OnStatus id list without building one. The whole digest is
-// one immutable snapshot shared by every scheduler's delivery; receivers
-// read it, never mutate it. One cluster's share of it is itself a
-// digest with a single partition (parts and rids only, offs nil).
+// digest is one estimator flush: parts holds its status items grouped
+// by destination cluster in cluster order, each group sorted by (rid,
+// time), and rids mirrors parts entry-for-entry so a delivery can hand
+// the policy its OnStatus id list without building one. The whole
+// digest is one immutable snapshot shared by every scheduler's
+// delivery; receivers read it, never mutate it. One cluster's share of
+// it is itself a digest, holding that cluster's group only.
 type digest struct {
 	parts []statusItem
-	offs  []int
 	rids  []int
 }
 
 // total returns the number of status items across all clusters.
 func (d digest) total() int { return len(d.parts) }
 
-// cluster returns cluster c's share: its partition and the matching
-// resource ids.
-func (d digest) cluster(c int) digest {
-	lo, hi := d.offs[c], d.offs[c+1]
-	return digest{parts: d.parts[lo:hi], rids: d.rids[lo:hi]}
+// split cuts cluster c's share off the front of the digest and returns
+// it with the rest. clusterOf maps a resource id to its cluster. Cut in
+// cluster order, each share is the group at the front: the groups of
+// the clusters before c are already gone.
+func (d digest) split(clusterOf []int, c int) (share, rest digest) {
+	n := 0
+	for n < len(d.parts) && clusterOf[d.parts[n].rid] == c {
+		n++
+	}
+	return digest{parts: d.parts[:n], rids: d.rids[:n]}, digest{parts: d.parts[n:], rids: d.rids[n:]}
 }
 
 // flush distributes the buffered status to the scheduling decision
@@ -127,7 +136,7 @@ func (d digest) cluster(c int) digest {
 // layer multiplies the digest traffic every scheduler must process.
 //
 // The buffered items are snapshotted into freshly allocated backing
-// arrays per flush (cluster by cluster, each partition sorted). Fresh,
+// arrays per flush (cluster by cluster, each group sorted). Fresh,
 // not scratch: the broadcast and the per-scheduler deliveries run at
 // later simulated times, and under estimator saturation a delivery
 // can outlive the next flush, so reusing a buffer here would
@@ -143,18 +152,12 @@ func (e *Estimator) flush() {
 		total += len(items)
 	}
 	parts := make([]statusItem, 0, total)
-	// offs and rids share one backing array: two allocations per flush
-	// instead of three.
-	nc := len(e.buffer)
-	ints := make([]int, nc+1+total)
-	offs, rids := ints[:nc+1:nc+1], ints[nc+1:]
 	for c := range e.buffer {
 		sortStatusItems(e.buffer[c])
-		offs[c] = len(parts)
 		parts = append(parts, e.buffer[c]...)
 		e.buffer[c] = e.buffer[c][:0]
 	}
-	offs[nc] = len(parts)
+	rids := make([]int, len(parts))
 	for i := range parts {
 		rids[i] = parts[i].rid
 	}
@@ -162,8 +165,8 @@ func (e *Estimator) flush() {
 	// dissemination heartbeat every decision maker consumes, so the
 	// layer's traffic scales with the estimator count, not with the
 	// update volume.
-	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total),
-		workItem{kind: workBroadcast, d: digest{parts: parts, offs: offs, rids: rids}})
+	w := workItem{kind: workBroadcast, d: digest{parts: parts, rids: rids}}
+	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total), &w)
 }
 
 // sortStatusItems orders a digest partition by (resource id, time) so

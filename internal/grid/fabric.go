@@ -91,9 +91,9 @@ func (d *delivery) release() {
 	e.free = append(e.free, d)
 }
 
-// fire runs the record's next stage. Landing copies the record out and
-// releases it before anything else runs, so the receiver's work — which
-// may itself send — can reuse it at once; the payload then lives on in
+// fire runs the record's next stage. Landing copies the record's fields
+// out and releases it before anything else runs, so the receiver's work
+// — which may itself send — can reuse it at once; the payload lives on in
 // the receiver's CPU work item, never in the record, which is why a
 // crash that drops queued work has no record to give back.
 //
@@ -119,23 +119,40 @@ func (d *delivery) fire() {
 		e.retryOrAbandon(d)
 		return
 	}
-	v := *d
-	d.release()
+	// Each case copies what it hands over and releases the record
+	// before the receiver runs.
 	c := e.Cfg.Costs
-	switch v.kind {
+	switch d.kind {
 	case dlvIngest:
-		v.est.exec(c.EstimatorPer, workItem{kind: workIngest, status: v.status})
+		est, st := d.est, d.status
+		d.release()
+		w := workItem{kind: workIngest, status: st}
+		est.exec(c.EstimatorPer, &w)
 	case dlvStatus:
-		v.sched.exec(c.UpdateBatchBase+c.UpdatePer, workItem{kind: workStatus, status: v.status})
+		s, st := d.sched, d.status
+		d.release()
+		w := workItem{kind: workStatus, status: st}
+		s.exec(c.UpdateBatchBase+c.UpdatePer, &w)
 	case dlvDigest:
-		v.sched.exec(c.UpdateBatchBase+c.UpdatePer*float64(len(v.d.parts)), workItem{kind: workDigest, d: v.d})
+		s, share := d.sched, d.d
+		d.release()
+		w := workItem{kind: workDigest, d: share}
+		s.exec(c.UpdateBatchBase+c.UpdatePer*float64(share.total()), &w)
 	case dlvDispatch:
-		v.res.enqueue(v.ctx)
+		r, ctx := d.res, d.ctx
+		d.release()
+		r.enqueue(ctx)
 	case dlvMessage:
-		v.sched.exec(c.Message, workItem{kind: workMsg, msg: v.msg})
+		s, m := d.sched, d.msg
+		d.release()
+		w := workItem{kind: workMsg, msg: m}
+		s.exec(c.Message, &w)
 	case dlvTransfer:
-		v.sched.own(v.ctx)
-		v.sched.exec(c.Message, workItem{kind: workJob, ctx: v.ctx})
+		s, ctx := d.sched, d.ctx
+		d.release()
+		s.own(ctx)
+		w := workItem{kind: workJob, ctx: ctx}
+		s.exec(c.Message, &w)
 	}
 }
 

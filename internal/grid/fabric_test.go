@@ -192,6 +192,7 @@ func TestDeliveryRecordsNeverCrossOrRepeat(t *testing.T) {
 				{"job transfers", m.JobTransfers},
 				{"direct status updates", p.statuses},
 				{"digest shares", p.digests},
+				{"non-empty digest shares", len(p.shares)},
 				{"received messages", len(p.received)},
 			} {
 				if c.n == 0 {

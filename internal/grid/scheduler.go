@@ -218,12 +218,13 @@ func (s *Scheduler) Utilization() float64 {
 // is committed work); queueing delay emerges from the busyUntil chain,
 // which is what saturates a central scheduler at scale.
 func (s *Scheduler) Exec(cost float64, fn func()) {
-	s.exec(cost, workItem{kind: workFn, fn: fn})
+	w := workItem{kind: workFn, fn: fn}
+	s.exec(cost, &w)
 }
 
 // exec is Exec for any work item: the engine queues its own work as
 // data-carrying items (see workKind), the policy's as workFn.
-func (s *Scheduler) exec(cost float64, w workItem) {
+func (s *Scheduler) exec(cost float64, w *workItem) {
 	if cost < 0 {
 		//lint:allow hotalloc panic path: fires once on a caller bug, never in a measured run
 		panic("grid: negative exec cost")
@@ -257,37 +258,56 @@ func (s *Scheduler) exec(cost float64, w workItem) {
 //
 //lint:hotpath every status merge, digest share, protocol message and decision retires here; engine/*/allocs_per_event budgets it
 func (s *Scheduler) retireNext() {
-	w, live := s.work.pop(s.epoch)
-	if !live {
+	w := s.work.front()
+	if w.epoch != s.epoch {
+		s.work.drop()
 		return
 	}
+	// Each case copies what it needs and drops the item before it
+	// runs anything that may queue more work.
 	e := s.eng
 	switch w.kind {
 	case workFn:
-		w.fn()
+		fn := w.fn
+		s.work.drop()
+		fn()
 	case workStatus:
-		s.mergeView(w.status.rid, w.status.load, w.status.at)
+		st := w.status
+		s.work.drop()
+		s.mergeView(st.rid, st.load, st.at)
 		// oneRid is per-scheduler scratch; work retires FCFS on one
 		// CPU, so the slot is free again by the time the policy returns
 		// and it never escapes the call.
-		s.oneRid[0] = w.status.rid
+		s.oneRid[0] = st.rid
 		e.policy.OnStatus(s, s.oneRid[:])
 	case workDigest:
-		for i := range w.d.parts {
-			it := &w.d.parts[i]
+		share := w.d
+		s.work.drop()
+		for i := range share.parts {
+			it := &share.parts[i]
 			s.mergeView(it.rid, it.load, it.at)
 		}
-		e.policy.OnStatus(s, w.d.rids)
+		e.policy.OnStatus(s, share.rids)
 	case workSend:
-		e.deliverPolicy(s, w.to, w.tag, w.payload)
+		to, kind, payload := w.to, w.tag, w.payload
+		s.work.drop()
+		e.deliverPolicy(s, to, kind, payload)
 	case workTransfer:
-		e.transferJob(s, w.ctx, w.to)
+		ctx, to := w.ctx, w.to
+		s.work.drop()
+		e.transferJob(s, ctx, to)
 	case workMsg:
-		e.policy.OnMessage(s, w.msg)
+		m := w.msg
+		s.work.drop()
+		e.policy.OnMessage(s, m)
 	case workJob:
-		e.policy.OnJob(s, w.ctx)
+		ctx := w.ctx
+		s.work.drop()
+		e.policy.OnJob(s, ctx)
 	case workDecide:
-		s.placeLeastLoaded(w.ctx)
+		ctx := w.ctx
+		s.work.drop()
+		s.placeLeastLoaded(ctx)
 	}
 }
 
@@ -303,8 +323,14 @@ func (s *Scheduler) QueueDelay() sim.Time {
 // ExecDecision runs fn after charging one scheduling decision that
 // scanned the given number of candidates.
 func (s *Scheduler) ExecDecision(candidates int, fn func()) {
+	s.Exec(s.decisionCost(candidates), fn)
+}
+
+// decisionCost is the cost of one scheduling decision that scanned the
+// given number of candidates.
+func (s *Scheduler) decisionCost(candidates int) float64 {
 	c := s.eng.Cfg.Costs
-	s.Exec(c.DecisionBase+c.DecisionPer*float64(candidates), fn)
+	return c.DecisionBase + c.DecisionPer*float64(candidates)
 }
 
 // ExecMsg runs fn after charging one protocol message processing cost.
@@ -329,9 +355,8 @@ func (s *Scheduler) Dispatch(ctx *JobCtx, rid int) {
 // DispatchLeastLoaded charges a full-cluster decision scan and sends the
 // job to the believed least loaded local resource.
 func (s *Scheduler) DispatchLeastLoaded(ctx *JobCtx) {
-	c := s.eng.Cfg.Costs
-	n := len(s.LocalResources())
-	s.exec(c.DecisionBase+c.DecisionPer*float64(n), workItem{kind: workDecide, ctx: ctx})
+	w := workItem{kind: workDecide, ctx: ctx}
+	s.exec(s.decisionCost(len(s.LocalResources())), &w)
 }
 
 // placeLeastLoaded is DispatchLeastLoaded's decision, run when its scan
@@ -351,11 +376,13 @@ func (s *Scheduler) placeLeastLoaded(ctx *JobCtx) {
 // enters the network; the receive charges another Message cost before
 // the policy sees it.
 func (s *Scheduler) SendPolicy(to int, kind int, payload any) {
-	s.exec(s.eng.Cfg.Costs.Message, workItem{kind: workSend, to: to, tag: kind, payload: payload})
+	w := workItem{kind: workSend, to: to, tag: kind, payload: payload}
+	s.exec(s.eng.Cfg.Costs.Message, &w)
 }
 
 // TransferJob moves the job to a remote cluster's scheduler; it arrives
 // as a policy OnJob call with Hops incremented.
 func (s *Scheduler) TransferJob(ctx *JobCtx, to int) {
-	s.exec(s.eng.Cfg.Costs.Message, workItem{kind: workTransfer, ctx: ctx, to: to})
+	w := workItem{kind: workTransfer, ctx: ctx, to: to}
+	s.exec(s.eng.Cfg.Costs.Message, &w)
 }
