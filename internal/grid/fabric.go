@@ -23,11 +23,6 @@ const (
 	dlvTransfer                     // a job envelope at a scheduler (sched, ctx)
 )
 
-// protocol reports whether records of the kind are protocol traffic
-// between schedulers: they pass through the middleware of the S-I
-// family and, with faults armed, ride the timeout/retry path.
-func (k deliveryKind) protocol() bool { return k == dlvMessage || k == dlvTransfer }
-
 // deliveryStage says what a record's next fire does.
 type deliveryStage uint8
 
@@ -112,9 +107,10 @@ func (d *delivery) fire() {
 		e.protoSend(d)
 		return
 	}
-	if e.fs != nil && d.kind.protocol() && d.sched.down {
-		// A message that reaches a dead scheduler is lost like one
-		// dropped in transit: the sender's timeout notices.
+	if e.fs != nil && (d.kind == dlvMessage || d.kind == dlvTransfer) && d.sched.down {
+		// A protocol message that reaches a dead scheduler is lost like
+		// one dropped in transit: the sender's timeout notices. Status
+		// and digest records into a dead scheduler just drop (exec).
 		e.Metrics.MsgsLost++
 		e.retryOrAbandon(d)
 		return
