@@ -35,11 +35,6 @@ type Engine struct {
 	Schedulers []*Scheduler
 	Estimators []*Estimator
 
-	// Tracer, when set before Run, records engine events (arrivals,
-	// dispatches, transfers, updates) for debugging and tests. Nil is
-	// free.
-	Tracer *sim.Tracer
-
 	// AuditHook, when set before Run, fires once after the event loop
 	// finishes and before the summary is derived. internal/audit claims
 	// it for the final drain-time invariant check; it is a generic hook
@@ -52,7 +47,6 @@ type Engine struct {
 	faults *sim.Stream
 	fs     *faultState // nil unless protocol faults are armed
 	mw     *middleware
-	depsT  *depTracker
 
 	// localIdx maps a resource id to its index within its cluster's
 	// resource list — the slot the owning scheduler's dense view array
@@ -245,8 +239,17 @@ func (e *Engine) UseJobs(jobs []*workload.Job) error {
 		if j.Runtime <= 0 {
 			return fmt.Errorf("grid: job %d has non-positive runtime", j.ID)
 		}
+		if !finite(j.Requested) {
+			return fmt.Errorf("grid: job %d has non-finite requested time %v", j.ID, j.Requested)
+		}
+		if j.Requested < j.Runtime {
+			return fmt.Errorf("grid: job %d requests %v, below its runtime %v", j.ID, j.Requested, j.Runtime)
+		}
 		if !finite(j.Benefit) {
 			return fmt.Errorf("grid: job %d has non-finite benefit %v", j.ID, j.Benefit)
+		}
+		if j.Benefit <= 0 {
+			return fmt.Errorf("grid: job %d has non-positive benefit %v", j.ID, j.Benefit)
 		}
 		if j.Cluster < 0 {
 			return fmt.Errorf("grid: job %d targets negative cluster", j.ID)
@@ -317,22 +320,10 @@ func (e *Engine) Run() Summary {
 			}
 		}
 	}
-	// Job arrivals: precedence-constrained workloads go through the
-	// dependency tracker; plain workloads arrive directly.
-	hasDeps := false
+	// Job arrivals.
 	for _, j := range e.jobs {
-		if len(j.Deps) > 0 {
-			hasDeps = true
-			break
-		}
-	}
-	if hasDeps {
-		e.startWithDeps()
-	} else {
-		for _, j := range e.jobs {
-			j := j
-			e.K.Schedule(j.Arrival, func() { e.admitJob(j) })
-		}
+		j := j
+		e.K.Schedule(j.Arrival, func() { e.admitJob(j) })
 	}
 
 	window := e.Cfg.Horizon + e.Cfg.Drain
@@ -345,6 +336,22 @@ func (e *Engine) Run() Summary {
 		e.AuditHook()
 	}
 	return e.Metrics.Summarize(window)
+}
+
+// admitJob delivers a job to its submission scheduler. With faults
+// armed the admission goes through the fault-aware path: a down
+// scheduler parks the submission until its repair, and the engine
+// starts tracking which scheduler is responsible for the job.
+func (e *Engine) admitJob(j *workload.Job) {
+	s := e.Schedulers[j.Cluster]
+	e.Metrics.JobsAdmitted++
+	//lint:allow hotalloc one envelope per job, allocated at admission and carried to termination: a per-job cost, not a per-event one
+	ctx := &JobCtx{Job: j, Origin: j.Cluster}
+	if e.fs != nil {
+		e.deliverToScheduler(s, ctx)
+		return
+	}
+	e.policy.OnJob(s, ctx)
 }
 
 // scheduleCrash arms the next crash of r.
@@ -389,9 +396,6 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 		return
 	}
 	e.Metrics.UpdatesSent++
-	if e.Tracer.On() {
-		e.Tracer.Tracef("update", "resource %d load %.0f", r.id, load)
-	}
 	st := statusItem{rid: r.id, load: load, at: e.K.Now()}
 	if len(e.Estimators) > 0 {
 		est := e.Estimators[r.id%len(e.Estimators)]
@@ -486,9 +490,6 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 	}
 	e.Metrics.JobTransfers++
 	ctx.Hops++
-	if e.Tracer.On() {
-		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)
-	}
 	dst := e.Schedulers[to]
 	d := e.newDelivery(dlvTransfer)
 	d.sched, d.ctx, d.from = dst, ctx, from
@@ -501,9 +502,6 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 //lint:hotpath every dispatched job crosses this hop; engine/*/allocs_per_event budgets it
 func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	r := e.Resources[rid]
-	if e.Tracer.On() {
-		e.Tracer.Tracef("dispatch", "job %d -> resource %d", ctx.Job.ID, rid)
-	}
 	d := e.newDelivery(dlvDispatch)
 	d.res, d.ctx = r, ctx
 	e.K.After(e.delay(s.node, r.node, e.Cfg.JobBytes), d.fireFn)
@@ -526,11 +524,9 @@ func (e *Engine) bounce(ctx *JobCtx) {
 	e.policy.OnJob(s, ctx)
 }
 
-// dropJob gives up on a job; it counts as lost. Dependents are
-// released — a constraint on a lost job can never be satisfied.
+// dropJob gives up on a job; it counts as lost.
 //
 //lint:hotpath terminal job accounting runs at event rate; engine/*/allocs_per_event budgets it
 func (e *Engine) dropJob(ctx *JobCtx) {
 	e.Metrics.JobsLost++
-	e.jobTerminated(ctx.Job.ID)
 }

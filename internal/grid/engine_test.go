@@ -94,6 +94,9 @@ func TestEngineHooksFire(t *testing.T) {
 	if p.onJob < len(e.Jobs()) {
 		t.Fatalf("OnJob fired %d times for %d jobs", p.onJob, len(e.Jobs()))
 	}
+	if e.Metrics.JobsAdmitted != e.Metrics.JobsArrived {
+		t.Fatalf("admitted %d of %d arrived jobs", e.Metrics.JobsAdmitted, e.Metrics.JobsArrived)
+	}
 }
 
 func TestResourceFCFS(t *testing.T) {

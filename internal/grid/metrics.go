@@ -25,7 +25,7 @@ type Metrics struct {
 
 	JobsArrived int
 	// JobsAdmitted counts jobs that actually entered scheduling: arrived
-	// jobs minus those still held on precedence constraints at cutoff.
+	// jobs minus those whose arrival falls past the cutoff.
 	// The auditor's conservation law is completed + lost <= admitted <=
 	// arrived at every checkpoint.
 	JobsAdmitted  int

@@ -113,7 +113,6 @@ func (r *Resource) complete(ctx *JobCtx) {
 	}
 	r.running = nil
 	r.markDirty()
-	r.eng.jobTerminated(ctx.Job.ID)
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
@@ -223,12 +222,8 @@ func (r *Resource) crash() {
 		return
 	}
 	lost := len(r.queue)
-	for _, ctx := range r.queue {
-		r.eng.jobTerminated(ctx.Job.ID)
-	}
 	if r.running != nil {
 		lost++
-		r.eng.jobTerminated(r.running.ctx.Job.ID)
 	}
 	r.eng.Metrics.JobsLost += lost
 	if r.quiescent() {

@@ -35,6 +35,9 @@ func TestUseJobsReplacesWorkload(t *testing.T) {
 	if e.Metrics.JobsCompleted != 5 {
 		t.Fatalf("completed %d", e.Metrics.JobsCompleted)
 	}
+	if e.Metrics.JobsAdmitted != e.Metrics.JobsArrived {
+		t.Fatalf("admitted %d of %d arrived jobs", e.Metrics.JobsAdmitted, e.Metrics.JobsArrived)
+	}
 }
 
 func TestUseJobsValidation(t *testing.T) {
@@ -72,10 +75,12 @@ func TestUseJobsValidation(t *testing.T) {
 	}
 }
 
-// Non-finite job fields would poison the kernel clock (a NaN arrival)
-// or the metrics (a NaN runtime passes a plain <= 0 check), and a
-// negative first arrival is not an ordering problem, so each gets its
-// own error.
+// Non-finite job fields would poison the kernel clock (a NaN arrival),
+// the metrics (a NaN runtime passes a plain <= 0 check) or the policies'
+// completion estimates (a NaN requested time loses every comparison).
+// A negative first arrival is not an ordering problem, a request below
+// the runtime is no upper bound, and a benefit <= 0 puts the deadline
+// at or before arrival, so each gets its own error.
 func TestUseJobsRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -91,6 +96,12 @@ func TestUseJobsRejectsNonFinite(t *testing.T) {
 		{"+Inf runtime", func(j *workload.Job) { j.Runtime = inf }, "non-finite runtime"},
 		{"NaN benefit", func(j *workload.Job) { j.Benefit = nan }, "non-finite benefit"},
 		{"-Inf benefit", func(j *workload.Job) { j.Benefit = -inf }, "non-finite benefit"},
+		{"NaN requested", func(j *workload.Job) { j.Requested = nan }, "non-finite requested"},
+		{"+Inf requested", func(j *workload.Job) { j.Requested = inf }, "non-finite requested"},
+		{"-Inf requested", func(j *workload.Job) { j.Requested = -inf }, "non-finite requested"},
+		{"requested below runtime", func(j *workload.Job) { j.Requested = j.Runtime - 1 }, "below its runtime"},
+		{"zero benefit", func(j *workload.Job) { j.Benefit = 0 }, "non-positive benefit"},
+		{"negative benefit", func(j *workload.Job) { j.Benefit = -2 }, "non-positive benefit"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

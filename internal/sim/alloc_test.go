@@ -41,32 +41,3 @@ func TestTickerRearmZeroAlloc(t *testing.T) {
 		t.Fatal("ticker never fired")
 	}
 }
-
-// TestDisabledTracerZeroAlloc: an event whose callback traces through
-// the guarded pattern (`if tr.On() { tr.Tracef(...) }`) allocates
-// nothing when the tracer is nil. The unguarded call would box the
-// variadic arguments before Tracef's nil check could run; On() exists
-// precisely to keep disabled-tracer runs allocation-free.
-func TestDisabledTracerZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	var tr *Tracer
-	load := 0
-	var fn func()
-	fn = func() {
-		load++
-		if tr.On() {
-			tr.Tracef("update", "resource %d load %d", 7, load)
-		}
-		k.After(1, fn)
-	}
-	k.After(1, fn)
-	for k.Processed() < 64 {
-		k.Step()
-	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("disabled-tracer event allocates %.1f times, want 0", allocs)
-	}
-	if tr.On() {
-		t.Fatal("nil tracer reports On")
-	}
-}

@@ -51,34 +51,18 @@ type Job struct {
 	// Cluster is the submission cluster.
 	Cluster int
 	Class   Class
-	// Deps lists the IDs of jobs that must complete before this job
-	// may be scheduled (precedence constraints; empty in the paper's
-	// base model, populated by GenerateDAG).
-	Deps []int
 }
 
 // Deadline returns the latest successful completion time,
 // Arrival + Benefit*Runtime.
 func (j *Job) Deadline() sim.Time { return j.Arrival + j.Benefit*j.Runtime }
 
-// Equal reports whether two jobs are identical, including precedence
-// constraints.
+// Equal reports whether two jobs are identical.
 func (j *Job) Equal(o *Job) bool {
 	if j == nil || o == nil {
 		return j == o
 	}
-	if j.ID != o.ID || j.Arrival != o.Arrival || j.Runtime != o.Runtime ||
-		j.Requested != o.Requested || j.Benefit != o.Benefit ||
-		j.Partition != o.Partition || j.Cluster != o.Cluster || j.Class != o.Class ||
-		len(j.Deps) != len(o.Deps) {
-		return false
-	}
-	for i := range j.Deps {
-		if j.Deps[i] != o.Deps[i] {
-			return false
-		}
-	}
-	return true
+	return *j == *o
 }
 
 // Params configures the synthetic generator. The zero value is not
